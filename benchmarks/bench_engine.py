@@ -1267,25 +1267,37 @@ def bench_zero_copy(quick, repeats):
     return record
 
 
+def git_revision(root=REPO_ROOT):
+    """Short HEAD of the checkout at ``root``, ``"uncommitted"`` when
+    tracked files differ from HEAD (the numbers then come from code no
+    commit holds), ``None`` when git is unavailable."""
+    try:
+        def git(*args):
+            return subprocess.run(
+                ["git", *args],
+                cwd=root,
+                capture_output=True,
+                text=True,
+                timeout=10,
+                check=True,
+            ).stdout.strip()
+
+        head = git("rev-parse", "--short", "HEAD") or None
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return "uncommitted" if head and dirty else head
+
+
 def bench_meta():
     """Environment stamp so BENCH_engine.json files are comparable
     across PRs and machines."""
-    try:
-        revision = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        ).stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        revision = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "numpy": np.__version__,
         "platform": platform.platform(),
-        "git_revision": revision,
+        "git_revision": git_revision(),
     }
 
 

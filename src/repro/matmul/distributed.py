@@ -196,10 +196,11 @@ def triangle_mm_kernel_program(
     from repro.core.kernels import KernelBuilder
     from repro.core.network import Mode
     from repro.core.phases import kernel_transmit_unicast
-    from repro.routing.lenzen import kernel_route_payloads
+    from repro.routing.lenzen import KernelPayloads, kernel_route_payloads
     from repro.simulation.kernel import (
+        VALS_KEY,
+        KernelPlan,
         append_simulation_rounds,
-        constant_columns,
         payload_bridge,
     )
 
@@ -211,11 +212,11 @@ def triangle_mm_kernel_program(
         payload_demand(out_lengths, plan.bandwidth), size
     )
     builder = KernelBuilder(size, Mode.UNICAST, bandwidth=plan.bandwidth)
-    vals_key = "vals"
+    # Compiled once; every trial appends the same rounds from it.
+    kplan = KernelPlan(plan)
     first_ids = np.asarray(input_ids[: size * size], dtype=np.intp)
     second_ids = np.asarray(input_ids[size * size :], dtype=np.intp)
     output_gids = np.asarray(circuit.outputs, dtype=np.intp)
-    const_cols, const_vals = constant_columns(circuit)
 
     def init(state, kctx):
         instances = kctx.instances
@@ -234,10 +235,7 @@ def triangle_mm_kernel_program(
             ],
             dtype=np.uint8,
         )
-        vals = np.zeros((instances, len(circuit)), dtype=np.uint8)
-        if const_cols.size:
-            vals[:, const_cols] = const_vals
-        state[vals_key] = vals
+        state[VALS_KEY] = kplan.fresh_values(instances)
         # Witness slots: -1 = none found yet (first trial, then first
         # column wins — the generator's tie-breaking order).
         state["wit_u"] = np.full((instances, size), -1, dtype=np.int64)
@@ -245,13 +243,14 @@ def triangle_mm_kernel_program(
 
     builder.on_init(init)
 
-    out_payloads, _out_writeback = payload_bridge(out_order, vals_key)
+    out_payloads = KernelPayloads(out_schedule, out_lengths, plan.bandwidth)
+    get_out, put_out = payload_bridge(out_order, out_payloads)
 
-    def set_out(state, received):
-        # All output values live in the value matrix once the routed
-        # frames land; assemble C and score this trial's witnesses.
-        del received
-        vals = state[vals_key]
+    def set_out(state, bits):
+        # Player i reads C[i][j] as delivered; then score this trial's
+        # witnesses.
+        put_out(state, bits)
+        vals = state[VALS_KEY]
         rows = state["rows"]
         instances = vals.shape[0]
         c_matrix = vals[:, output_gids].reshape(instances, size, size)
@@ -269,7 +268,7 @@ def triangle_mm_kernel_program(
     for _trial in range(trials):
 
         def prepare(state, _t=_trial):
-            vals = state[vals_key]
+            vals = state[VALS_KEY]
             rows = state["rows"]
             instances = vals.shape[0]
             mask = state["masks"][_t]
@@ -278,15 +277,8 @@ def triangle_mm_kernel_program(
             vals[:, second_ids] = rows.reshape(instances, size * size)
 
         builder.before(prepare)
-        append_simulation_rounds(builder, plan, vals_key)
-        kernel_route_payloads(
-            builder,
-            out_lengths,
-            plan.bandwidth,
-            out_schedule,
-            out_payloads,
-            set_out,
-        )
+        append_simulation_rounds(builder, kplan)
+        kernel_route_payloads(builder, out_payloads, get_out, set_out)
 
     # ---- aggregation at player 0 (1 + 2·log n bits per node) ----------
     vertex_bits = max(1, (size - 1).bit_length())

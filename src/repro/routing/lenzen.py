@@ -24,10 +24,13 @@ given in its input) with the declaration already made.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.core.bits import Bits
 from repro.core.compiled import declare_schedule_digest, mark_oblivious
+from repro.core.kernels import pack_rows, unpack_rows
 from repro.core.network import Context, Outbox, inbox_uints
 from repro.routing.schedule import FrameRef, RoutingSchedule, build_schedule
 
@@ -36,6 +39,8 @@ __all__ = [
     "payload_demand",
     "route_payloads",
     "route_program",
+    "KernelRoute",
+    "KernelPayloads",
     "kernel_route_frames",
     "kernel_route_payloads",
     "route_kernel_program",
@@ -211,64 +216,67 @@ def route_payloads(
 # the links delivered back into it) — no per-node stepping at all.
 
 
-def kernel_route_frames(builder, schedule: RoutingSchedule, frame_size: int, get_frames, set_result) -> None:
-    """Append ``schedule``'s rounds to ``builder`` as kernel rounds.
+class KernelRoute:
+    """``schedule`` flattened once for kernel rounds.
 
-    At phase start ``get_frames(state)`` must return one
-    ``{FrameRef: Bits}`` map per instance covering exactly the frames
-    the schedule injects (each exactly ``frame_size`` bits); when the
-    last hop lands, ``set_result(state, delivered)`` receives
-    ``delivered[k][v]`` as node ``v``'s ``{FrameRef: Bits}`` map — the
-    generator :func:`route_frames` return value.
+    Every frame gets a dense slot (first-appearance order) in a
+    ``K × num_frames`` frame-value matrix; each round is its
+    ``(sender, dests)`` pairs in builder structure order (ascending
+    sender, that sender's send-plan order) plus the slot vector those
+    hops carry, and ``final_dest[ref]`` names the node a frame lands on.
+    Frame values are ``uint64``, or Python ints (``object``) past 63
+    bits.  Build it once and hand it to :func:`kernel_route_frames` as
+    often as the phase repeats.
     """
-    import numpy as np
 
-    if frame_size < 1:
-        raise ValueError("frame size must be positive")
-    # Assign each frame a dense slot id (first appearance order) and
-    # flatten every round's hops in builder structure order: ascending
-    # sender, that sender's send-plan order.
-    slot_of: Dict[FrameRef, int] = {}
-    final_dest: Dict[FrameRef, int] = {}
-    round_plans = []
-    for r in range(schedule.num_rounds):
-        sends = schedule.send_plan[r]
-        recv = schedule.recv_plan[r]
-        pairs = []
-        slots = []
-        for sender in sorted(sends):
-            dests = []
-            for recipient, frame in sends[sender]:
-                if frame not in slot_of:
-                    slot_of[frame] = len(slot_of)
-                dests.append(recipient)
-                slots.append(slot_of[frame])
-                if recv[(sender, recipient)][1]:
-                    final_dest[frame] = recipient
-            pairs.append((sender, dests))
-        round_plans.append((pairs, np.asarray(slots, dtype=np.intp)))
-    num_frames = len(slot_of)
-    is_object = frame_size > 63
+    def __init__(self, schedule: RoutingSchedule, frame_size: int) -> None:
+        if frame_size < 1:
+            raise ValueError("frame size must be positive")
+        self.frame_size = frame_size
+        self.dtype = object if frame_size > 63 else np.uint64
+        self.slot_of: Dict[FrameRef, int] = {}
+        self.final_dest: Dict[FrameRef, int] = {}
+        self.rounds: List[Tuple[list, np.ndarray]] = []
+        for r in range(schedule.num_rounds):
+            sends = schedule.send_plan[r]
+            recv = schedule.recv_plan[r]
+            pairs = []
+            slots = []
+            for sender in sorted(sends):
+                dests = []
+                for recipient, frame in sends[sender]:
+                    slot = self.slot_of.setdefault(frame, len(self.slot_of))
+                    dests.append(recipient)
+                    slots.append(slot)
+                    if recv[(sender, recipient)][1]:
+                        self.final_dest[frame] = recipient
+                pairs.append((sender, dests))
+            self.rounds.append((pairs, np.asarray(slots, dtype=np.intp)))
+        self.num_frames = len(self.slot_of)
+
+
+def kernel_route_frames(builder, route: KernelRoute, get_frames, set_result) -> None:
+    """Append ``route``'s rounds to ``builder`` as kernel rounds.
+
+    At phase start ``get_frames(state)`` returns the ``K × num_frames``
+    frame-value matrix in ``route.slot_of`` order; when the last hop
+    lands, ``set_result(state, values)`` receives that matrix as the
+    links delivered it (a frame's entry holds what reached
+    ``route.final_dest[ref]``).
+    """
     key = builder.fresh_key("route")
 
     def start(state):
-        frame_maps = get_frames(state)
-        instances = len(frame_maps)
-        values = np.zeros(
-            (instances, num_frames), dtype=object if is_object else np.uint64
-        )
-        for k, frames in enumerate(frame_maps):
-            for ref, frame in frames.items():
-                if len(frame) != frame_size:
-                    raise ValueError(
-                        f"frame {ref} has {len(frame)} bits, "
-                        f"expected {frame_size}"
-                    )
-                values[k, slot_of[ref]] = frame.to_uint()
+        values = get_frames(state)
+        if values.ndim != 2 or values.shape[1] != route.num_frames:
+            raise ValueError(
+                f"frame matrix has shape {values.shape}, "
+                f"expected (K, {route.num_frames})"
+            )
         state[key] = values
 
     builder.before(start)
-    for pairs, slots in round_plans:
+    for pairs, slots in route.rounds:
 
         def send(state, _slots=slots):
             return state[key][:, _slots]
@@ -279,81 +287,131 @@ def kernel_route_frames(builder, schedule: RoutingSchedule, frame_size: int, get
             # keeps the data flow on the wire).
             state[key][:, _slots] = inbox.gather()
 
-        builder.unicast_round(pairs, frame_size, send, recv)
+        builder.unicast_round(pairs, route.frame_size, send, recv)
 
     def done(state):
-        values = state.pop(key)
-        instances = values.shape[0]
-        delivered = [
-            [dict() for _ in range(builder.n)] for _ in range(instances)
-        ]
-        for ref, dest in final_dest.items():
-            slot = slot_of[ref]
-            for k in range(instances):
-                delivered[k][dest][ref] = Bits(int(values[k, slot]), frame_size)
-        set_result(state, delivered)
+        set_result(state, state.pop(key))
 
     builder.before(done)
 
 
+def _pack_frames(bits: np.ndarray, frame_size: int) -> np.ndarray:
+    """``K × (F·frame_size)`` 0/1 bits, frame ``f`` in columns
+    ``[f·frame_size, (f+1)·frame_size)`` first bit most significant, as
+    the ``K × F`` frame-value matrix."""
+    instances = bits.shape[0]
+    frames = bits.reshape(-1, frame_size)
+    if frame_size > 63:
+        values = np.empty(frames.shape[0], dtype=object)
+        values[:] = pack_rows(frames)
+        return values.reshape(instances, -1)
+    weights = np.left_shift(
+        np.uint64(1), np.arange(frame_size - 1, -1, -1, dtype=np.uint64)
+    )
+    return (frames @ weights).reshape(instances, -1)
+
+
+def _unpack_frames(values: np.ndarray, frame_size: int) -> np.ndarray:
+    """Inverse of :func:`_pack_frames`; rejects a frame value that does
+    not fit ``frame_size`` bits."""
+    instances = values.shape[0]
+    flat = values.reshape(-1)
+    if frame_size > 63:
+        try:
+            bits = unpack_rows(flat, frame_size)
+        except OverflowError as exc:
+            raise ValueError(f"frame value does not fit {frame_size} bits") from exc
+    else:
+        if (flat >> np.uint64(frame_size)).any():
+            raise ValueError(f"frame value does not fit {frame_size} bits")
+        shifts = np.arange(frame_size - 1, -1, -1, dtype=np.uint64)
+        bits = ((flat[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    return bits.reshape(instances, -1)
+
+
+class KernelPayloads:
+    """Public payload ``lengths`` laid out once over ``schedule``'s frames.
+
+    ``pairs`` (ascending, positive lengths only) fix the *payload-bit
+    order* every caller speaks: pair after pair, each payload's bits in
+    order.  A payload is chunked into ``frame_size``-bit frames, first
+    bit most significant, the last frame zero-padded — the wire format
+    of :func:`route_payloads`.  ``positions`` maps each payload bit to
+    its place in the routed frames' packed bit buffer, so packing and
+    unpacking are one scatter and one gather (frame ``f`` occupies bits
+    ``[f·frame_size, (f+1)·frame_size)`` of that buffer).
+    """
+
+    def __init__(
+        self,
+        schedule: RoutingSchedule,
+        lengths: Mapping[Tuple[int, int], int],
+        frame_size: int,
+    ) -> None:
+        self.route = KernelRoute(schedule, frame_size)
+        self.pairs = sorted(pair for pair, bits in lengths.items() if bits > 0)
+        self.lengths = {pair: int(lengths[pair]) for pair in self.pairs}
+        sizes = np.asarray([self.lengths[pair] for pair in self.pairs], dtype=np.int64)
+        counts = -(-sizes // frame_size)
+        try:
+            slots = np.fromiter(
+                (
+                    self.route.slot_of[(src, dst, idx)]
+                    for (src, dst), count in zip(self.pairs, counts.tolist())
+                    for idx in range(count)
+                ),
+                dtype=np.int64,
+                count=int(counts.sum()),
+            )
+        except KeyError as exc:
+            raise ValueError(
+                f"schedule does not route frame {exc.args[0]} of the payloads"
+            ) from None
+        if slots.size != self.route.num_frames:
+            raise ValueError(
+                f"schedule routes {self.route.num_frames} frames, "
+                f"the payload lengths need {slots.size}"
+            )
+        # Bit b of pair p is bit b % frame_size of the pair's frame
+        # b // frame_size.
+        pair_start = np.zeros(sizes.size, dtype=np.int64)
+        np.cumsum(sizes[:-1], out=pair_start[1:])
+        frame_start = np.zeros(sizes.size, dtype=np.int64)
+        np.cumsum(counts[:-1], out=frame_start[1:])
+        bit = np.arange(int(sizes.sum()), dtype=np.int64)
+        bit -= np.repeat(pair_start, sizes)
+        frame = np.repeat(frame_start, sizes) + bit // frame_size
+        self.positions = slots[frame] * frame_size + bit % frame_size
+        self.total_bits = int(self.positions.size)
+
+
 def kernel_route_payloads(
-    builder,
-    lengths: Mapping[Tuple[int, int], int],
-    frame_size: int,
-    schedule: Optional[RoutingSchedule],
-    get_payloads,
-    set_result,
+    builder, payloads: KernelPayloads, get_bits, set_bits
 ) -> None:
-    """Append a :func:`route_payloads` phase to ``builder``: payloads
-    under the public ``lengths`` map are chunked into frames, routed by
-    ``schedule`` (built from ``lengths`` when ``None``), and reassembled
-    at their destinations.  ``get_payloads(state)`` returns one
-    ``{(src, dst): Bits}`` map per instance (only pairs with a positive
-    length); ``set_result(state, received)`` gets ``received[k][v]`` as
-    node ``v``'s ``{src: Bits}`` map."""
-    if schedule is None:
-        schedule = build_schedule(payload_demand(lengths, frame_size), builder.n)
-    counts = payload_demand(lengths, frame_size)
+    """Append a :func:`route_payloads` phase to ``builder``: at phase
+    start ``get_bits(state)`` returns the ``K × payloads.total_bits``
+    0/1 matrix of every payload in payload-bit order; the bits are packed
+    into frames, routed, and unpacked, and ``set_bits(state, bits)``
+    receives what arrived, in the same order."""
+    frame_size = payloads.route.frame_size
+    positions = payloads.positions
+    buffer_bits = payloads.route.num_frames * frame_size
 
     def get_frames(state):
-        frame_maps = []
-        for payloads in get_payloads(state):
-            frames: Dict[FrameRef, Bits] = {}
-            for (src, dst), payload in payloads.items():
-                expected = lengths.get((src, dst), 0)
-                if len(payload) != expected:
-                    raise ValueError(
-                        f"payload to {dst} has {len(payload)} bits, "
-                        f"plan says {expected}"
-                    )
-                if expected == 0:
-                    continue
-                count = counts[(src, dst)]
-                chunks = payload.pad_to(count * frame_size).to_uint_chunks(
-                    frame_size
-                )
-                for idx, chunk in enumerate(chunks):
-                    frames[(src, dst, idx)] = Bits(chunk, frame_size)
-            frame_maps.append(frames)
-        return frame_maps
+        bits = get_bits(state)
+        if bits.ndim != 2 or bits.shape[1] != payloads.total_bits:
+            raise ValueError(
+                f"payload bits have shape {bits.shape}, "
+                f"expected (K, {payloads.total_bits})"
+            )
+        buf = np.zeros((bits.shape[0], buffer_bits), dtype=np.uint8)
+        buf[:, positions] = bits
+        return _pack_frames(buf, frame_size)
 
-    def assemble(state, delivered):
-        instances = len(delivered)
-        received = [
-            [dict() for _ in range(builder.n)] for _ in range(instances)
-        ]
-        for k in range(instances):
-            for v in range(builder.n):
-                by_source: Dict[int, Dict[int, Bits]] = {}
-                for (src, _dst, idx), chunk in delivered[k][v].items():
-                    by_source.setdefault(src, {})[idx] = chunk
-                for src, chunks in by_source.items():
-                    expected = lengths[(src, v)]
-                    ordered = [chunks[i] for i in range(len(chunks))]
-                    received[k][v][src] = Bits.concat(ordered)[:expected]
-        set_result(state, received)
+    def assemble(state, values):
+        set_bits(state, _unpack_frames(values, frame_size)[:, positions])
 
-    kernel_route_frames(builder, schedule, frame_size, get_frames, assemble)
+    kernel_route_frames(builder, payloads.route, get_frames, assemble)
 
 
 def route_kernel_program(schedule: RoutingSchedule, frame_size: int):
@@ -366,6 +424,7 @@ def route_kernel_program(schedule: RoutingSchedule, frame_size: int):
     from repro.core.network import Mode
 
     builder = KernelBuilder(schedule.n, Mode.UNICAST)
+    route = KernelRoute(schedule, frame_size)
 
     def init(state, kctx):
         state["inputs"] = kctx.inputs_list
@@ -373,20 +432,30 @@ def route_kernel_program(schedule: RoutingSchedule, frame_size: int):
     builder.on_init(init)
 
     def get_frames(state):
-        maps = []
-        for inputs in state["inputs"]:
-            frames: Dict[FrameRef, Bits] = {}
-            if inputs is not None:
-                for per_node in inputs:
-                    if per_node:
-                        frames.update(per_node)
-            maps.append(frames)
-        return maps
+        inputs_list = state["inputs"]
+        values = np.zeros((len(inputs_list), route.num_frames), dtype=route.dtype)
+        for k, inputs in enumerate(inputs_list):
+            for per_node in inputs or ():
+                for ref, frame in (per_node or {}).items():
+                    if len(frame) != frame_size:
+                        raise ValueError(
+                            f"frame {ref} has {len(frame)} bits, "
+                            f"expected {frame_size}"
+                        )
+                    values[k, route.slot_of[ref]] = frame.to_uint()
+        return values
 
-    def set_result(state, delivered):
+    def set_result(state, values):
+        delivered = [
+            [dict() for _ in range(schedule.n)] for _ in range(values.shape[0])
+        ]
+        for ref, dest in route.final_dest.items():
+            slot = route.slot_of[ref]
+            for k, per_node in enumerate(delivered):
+                per_node[dest][ref] = Bits(int(values[k, slot]), frame_size)
         state["out"] = delivered
 
-    kernel_route_frames(builder, schedule, frame_size, get_frames, set_result)
+    kernel_route_frames(builder, route, get_frames, set_result)
     return builder.build(
         lambda state, kctx: state["out"], name="route_frames"
     )

@@ -186,59 +186,128 @@ class TestRoutingKernel:
         assert result_tuple(got) == result_tuple(expected)
 
 
+def _mixed_parity(salt):
+    """A GenericGate truth table the evaluator cannot sum."""
+    return lambda xs: (sum((i + salt) * x for i, x in enumerate(xs)) + salt) % 3 == 0
+
+
+def _random_gate(rng, family, fan):
+    from repro.circuits.gates import (
+        AND,
+        NOT,
+        OR,
+        XOR,
+        GenericGate,
+        MajorityGate,
+        ModGate,
+        ThresholdGate,
+    )
+
+    if family == 0:
+        return AND
+    if family == 1:
+        return OR
+    if family == 2:
+        return NOT
+    if family == 3:
+        return XOR
+    if family == 4:
+        return ModGate(rng.randint(2, 4))
+    if family == 5:
+        if rng.random() < 0.5:
+            return MajorityGate(fan)
+        return ThresholdGate(rng.randint(0, fan))
+    if family == 6:
+        weights = [rng.randint(0, 5) for _ in range(fan)]
+        return ThresholdGate(rng.randint(0, sum(weights) + 1), weights)
+    return GenericGate(_mixed_parity(rng.randint(0, 5)), fan)
+
+
+FAMILIES = 8  # AND OR NOT XOR MOD THR weighted-THR generic
+
+
+def _random_circuit(rng, heavy):
+    """Every gate family at fan-in 1 and with repeated input ids, then a
+    random mix (generic gates share layers with summed ones); with
+    ``heavy``, three gates wide enough that the n=8 assignment makes
+    them heavy, plus light consumers of them."""
+    from repro.circuits.circuit import Circuit
+
+    circuit = Circuit()
+    pool = list(circuit.add_inputs(18))
+    pool.append(circuit.add_const(True))
+    pool.append(circuit.add_const(False))
+    for family in range(FAMILIES):
+        pool.append(
+            circuit.add_gate(_random_gate(rng, family, 1), [rng.choice(pool)])
+        )
+        if family != 2:
+            fan = rng.randint(2, 4)
+            inputs = [rng.choice(pool)] * (fan - 1) + [rng.choice(pool)]
+            pool.append(circuit.add_gate(_random_gate(rng, family, fan), inputs))
+    for _ in range(40):
+        family = rng.randrange(FAMILIES)
+        fan = 1 if family == 2 else rng.randint(1, 6)
+        gid = circuit.add_gate(
+            _random_gate(rng, family, fan), [rng.choice(pool) for _ in range(fan)]
+        )
+        pool.append(gid)
+        if rng.random() < 0.3:
+            circuit.mark_output(gid)
+    if heavy:
+        # Heavy means weight >= 2·n·ceil(wires/n²); this fan-in clears
+        # that bound for all three at n = 8.
+        fan = circuit.wire_count() + 80
+        wide = [
+            circuit.add_gate(
+                _random_gate(rng, family, fan),
+                [rng.choice(pool) for _ in range(fan)],
+            )
+            for family in (6, 7, 3)
+        ]
+        for _ in range(6):
+            family = rng.randrange(FAMILIES)
+            fan = 1 if family == 2 else rng.randint(1, 4)
+            gid = circuit.add_gate(
+                _random_gate(rng, family, fan),
+                [rng.choice(wide if rng.random() < 0.5 else pool) for _ in range(fan)],
+            )
+            circuit.mark_output(gid)
+        for gid in wide:
+            circuit.mark_output(gid)
+    if not circuit.outputs:
+        circuit.mark_output(pool[-1])
+    return circuit
+
+
+def _wire(result):
+    return [
+        sorted((src, dst, bits.to_uint(), len(bits)) for src, dst, bits in rnd.sends)
+        for rnd in result.transcript
+    ]
+
+
 class TestSimulationKernel:
     def test_random_circuits_match(self):
-        from repro.circuits.gates import (
-            AND,
-            NOT,
-            OR,
-            XOR,
-            MajorityGate,
-            ModGate,
-            ThresholdGate,
-        )
-        from repro.circuits.circuit import Circuit
+        from repro.simulation.kernel import make_kernel_program
+        from repro.simulation.protocol import make_program
 
         rng = random.Random(13)
-        for _trial in range(3):
-            circuit = Circuit()
-            pool = list(circuit.add_inputs(18))
-            pool.append(circuit.add_const(True))
-            for _ in range(40):
-                kind = rng.randrange(6)
-                if kind == 0:
-                    gate, fan = AND, rng.randint(1, 5)
-                elif kind == 1:
-                    gate, fan = OR, rng.randint(1, 5)
-                elif kind == 2:
-                    gate, fan = NOT, 1
-                elif kind == 3:
-                    gate, fan = XOR, rng.randint(1, 6)
-                elif kind == 4:
-                    gate, fan = ModGate(rng.randint(2, 4)), rng.randint(1, 5)
-                else:
-                    fan = rng.randint(1, 6)
-                    gate = (
-                        MajorityGate(fan)
-                        if rng.random() < 0.5
-                        else ThresholdGate(rng.randint(0, fan))
-                    )
-                gid = circuit.add_gate(
-                    gate, [rng.choice(pool) for _ in range(fan)]
-                )
-                pool.append(gid)
-                if rng.random() < 0.3:
-                    circuit.mark_output(gid)
-            if not circuit.outputs:
-                circuit.mark_output(pool[-1])
-            n = rng.choice([5, 8])
+        heavy_layers = 0
+        for trial in range(6):
+            heavy = trial % 2 == 1
+            circuit = _random_circuit(rng, heavy)
+            n = 8 if heavy else rng.choice([5, 8])
             inputs_list = [
                 [rng.random() < 0.5 for _ in range(circuit.num_inputs)]
-                for _ in range(3)
+                for _ in range(rng.randint(3, 5))
             ]
             expected_outputs, expected_results, plan = simulate_circuit_many(
                 circuit, n, inputs_list
             )
+            if heavy:
+                assert plan.assignment.heavy
+                heavy_layers += sum(lp.has_summary_round for lp in plan.layer_plans)
             kernel_outputs, kernel_results, _plan = simulate_circuit_many(
                 circuit, n, inputs_list, plan=plan, kernel=True
             )
@@ -247,6 +316,28 @@ class TestSimulationKernel:
             for values, outputs in zip(inputs_list, kernel_outputs):
                 truth = circuit.evaluate(values)
                 assert all(truth[g] == v for g, v in outputs.items())
+
+            # Byte for byte against the reference engine's wire.
+            per_node_list = []
+            for values in inputs_list:
+                per_node = [dict() for _ in range(n)]
+                for position, gid in enumerate(circuit.input_ids):
+                    per_node[position % n][gid] = values[position]
+                per_node_list.append(per_node)
+            legacy = Network(
+                n=n, bandwidth=plan.bandwidth, engine="legacy",
+                record_transcript=True,
+            )
+            reference = [
+                legacy.run(make_program(plan), per_node) for per_node in per_node_list
+            ]
+            kernel = Network(
+                n=n, bandwidth=plan.bandwidth, record_transcript=True
+            ).run_many(make_kernel_program(plan), per_node_list)
+            assert_equivalent(reference, kernel)
+            for expected, got in zip(reference, kernel):
+                assert _wire(got) == _wire(expected)
+        assert heavy_layers > 0
 
 
 class TestTriangleMMKernel:
@@ -275,3 +366,83 @@ class TestTriangleMMKernel:
         )
         assert got == expected
         assert result_tuple(got_result) == result_tuple(expected_result)
+
+    @pytest.mark.parametrize("seed", [3, 20, 36])
+    def test_corrupted_output_frames_match_legacy(self, seed):
+        # Player i scores the C[i][j] bits it was delivered, so a
+        # corrupted output frame changes the kernel's answer exactly as
+        # it changes the generator's (these seeds corrupt one).
+        from repro.circuits.arithmetic import matmul_circuit_naive
+        from repro.core.faults import FaultPlan
+        from repro.matmul.distributed import (
+            matmul_input_partition,
+            triangle_mm_kernel_program,
+            triangle_mm_program,
+        )
+        from repro.simulation.protocol import build_plan
+
+        size = 8
+        plan = build_plan(
+            matmul_circuit_naive(size), size, matmul_input_partition(size), None
+        )
+        graph = random_graph(size, 0.5, random.Random(seed))
+        rows = [
+            [1 if graph.has_edge(v, u) else 0 for u in range(size)]
+            for v in range(size)
+        ]
+        faults = FaultPlan(seed=seed, corrupt_rate=0.05)
+
+        def run(engine, program):
+            result = Network(
+                n=size, bandwidth=plan.bandwidth, engine=engine,
+                fault_plan=faults, seed=1,
+            ).run(program, inputs=rows)
+            return result.outputs, result.faults
+
+        kernel = run("kernel", triangle_mm_kernel_program(graph, plan, 2))
+        assert kernel == run("legacy", triangle_mm_program(graph, plan, 2))
+        assert kernel[1]
+
+    def test_simulation_compiled_once_for_all_trials(self, monkeypatch):
+        # Every trial appends the same simulation rounds: the layer
+        # evaluators (and the gate table behind them) are built once per
+        # plan, never once per trial.
+        import repro.simulation.kernel as sim_kernel
+        from repro.circuits.arithmetic import matmul_circuit_strassen
+        from repro.matmul.distributed import (
+            matmul_input_partition,
+            triangle_mm_kernel_program,
+        )
+        from repro.simulation.protocol import build_plan
+
+        builds = {"evaluator": 0, "table": 0}
+
+        class CountingEvaluator(sim_kernel.LayerEvaluator):
+            def __init__(self, *args):
+                builds["evaluator"] += 1
+                super().__init__(*args)
+
+        class CountingTable(sim_kernel._GateTable):
+            def __init__(self, *args):
+                builds["table"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(sim_kernel, "LayerEvaluator", CountingEvaluator)
+        monkeypatch.setattr(sim_kernel, "_GateTable", CountingTable)
+        size = 8
+        plan = build_plan(
+            matmul_circuit_strassen(size), size, matmul_input_partition(size), None
+        )
+        graph = random_graph(size, 0.5, random.Random(5))
+        program = triangle_mm_kernel_program(graph, plan, trials=3)
+        per_layer = sum(
+            bool(lp.light_owned) + bool(lp.heavy_gates) for lp in plan.layer_plans
+        )
+        assert per_layer > 0
+        assert builds == {"evaluator": per_layer, "table": 1}
+        rows = [
+            [1 if graph.has_edge(v, u) else 0 for u in range(size)]
+            for v in range(size)
+        ]
+        Network(n=size, bandwidth=plan.bandwidth).run(program, inputs=rows)
+        assert builds == {"evaluator": per_layer, "table": 1}
