@@ -79,23 +79,6 @@ class Bits:
             length += part._length
         return cls(value, length)
 
-    @classmethod
-    def from_uint_concat(cls, values: Iterable[int], width: int) -> "Bits":
-        """Concatenate ``width``-bit unsigned chunks into one bit string —
-        the bulk inverse of :meth:`to_uint_chunks`, equivalent to
-        ``Bits.concat(Bits(v, width) for v in values)`` without the
-        intermediate :class:`Bits` objects."""
-        if width <= 0:
-            raise ValueError("chunk width must be positive")
-        value = 0
-        length = 0
-        for chunk in values:
-            if chunk < 0 or chunk >> width:
-                raise ValueError(f"chunk {chunk} does not fit in {width} bits")
-            value = (value << width) | chunk
-            length += width
-        return cls(value, length)
-
     # -- accessors -----------------------------------------------------
 
     def to_uint(self) -> int:

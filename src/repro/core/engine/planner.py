@@ -225,6 +225,11 @@ class ExecutionPlanner:
             # itself, identical on every backend — never masked.
             raise
         except Exception as exc:
+            if planned.name == LEGACY_ENGINE.name:
+                # The reference semantics failed: its exception is the
+                # truth about the program, not an engine fault to route
+                # around.
+                raise
             failures = [(planned.name, f"{type(exc).__name__}: {exc}")]
             chain = self.fallback_chain(program, planned)
             if not chain:

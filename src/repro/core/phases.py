@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.core.bits import BitReader, Bits, BitWriter
+from repro.core.bits import Bits
 from repro.core.errors import DecodeError
 from repro.core.network import Context, Outbox, inbox_uints
 
@@ -71,7 +71,7 @@ def header_width(max_bits: int) -> int:
     ``max_bits`` bits."""
     if max_bits < 0:
         raise ValueError("max_bits must be non-negative")
-    return max(1, max_bits.bit_length())
+    return max_bits.bit_length() or 1
 
 
 def phase_length(max_bits: int, bandwidth: int) -> int:
@@ -83,21 +83,64 @@ def phase_length(max_bits: int, bandwidth: int) -> int:
 def _frame_payload(payload: Bits, max_bits: int, rounds: int, bandwidth: int) -> list:
     """Length header + payload, padded to whole frames, as a list of
     ``rounds`` frame uints (each exactly ``bandwidth`` bits wide)."""
-    if len(payload) > max_bits:
+    length = len(payload)
+    if length > max_bits:
         raise ValueError(
-            f"payload of {len(payload)} bits exceeds declared max {max_bits}"
+            f"payload of {length} bits exceeds declared max {max_bits}"
         )
-    writer = BitWriter()
-    writer.write_uint(len(payload), header_width(max_bits))
-    writer.write_bits(payload)
-    padded = writer.getvalue().pad_to(rounds * bandwidth)
-    return padded.to_uint_chunks(bandwidth)
+    total = rounds * bandwidth
+    pad = total - header_width(max_bits) - length
+    stream = ((length << length) | payload.to_uint()) << pad
+    return Bits(stream, total).to_uint_chunks(bandwidth)
 
 
-def _parse_concat(stream: Bits, max_bits: int) -> Bits:
-    reader = BitReader(stream)
-    length = reader.read_uint(header_width(max_bits))
-    return reader.read_bits(length)
+def _parse_concat(chunks, bandwidth: int, max_bits: int) -> Bits:
+    """The payload carried by one phase's frames: the inverse of
+    :func:`_frame_payload`, decoded straight off the frame uints.
+
+    ``chunks`` are the ``bandwidth``-bit frame values in arrival order.
+    Raises ``ValueError`` for a non-positive ``bandwidth``, a negative
+    ``max_bits`` or a chunk that does not fit its frame, and
+    :class:`~repro.core.errors.DecodeError` when the length header does
+    not fit the stream, exceeds the public bound ``max_bits``, or
+    claims more bits than the frames carry."""
+    if bandwidth <= 0:
+        raise ValueError("chunk width must be positive")
+    stream = 0
+    total = 0
+    for chunk in chunks:
+        if chunk < 0 or chunk >> bandwidth:
+            raise ValueError(f"chunk {chunk} does not fit in {bandwidth} bits")
+        stream = (stream << bandwidth) | chunk
+        total += bandwidth
+    body = total - header_width(max_bits)
+    if body < 0:
+        raise DecodeError(
+            f"{total}-bit frame stream is shorter than its length header"
+        )
+    length = stream >> body
+    if length > max_bits:
+        raise DecodeError(
+            f"length header {length} exceeds the phase bound of {max_bits} bits"
+        )
+    if length > body:
+        raise DecodeError(
+            f"length header {length} exceeds the {body} payload bits received"
+        )
+    return Bits((stream >> (body - length)) & ((1 << length) - 1), length)
+
+
+def _streams(heard) -> Dict[int, list]:
+    """``{sender: frame uints}`` for every sender heard in each round of
+    a phase, in first-round order; ``heard`` holds one ``{sender: uint}``
+    dict per round.  A sender that missed a round (a dropped frame) has
+    no complete stream and is left out."""
+    complete = set(heard[0]).intersection(*heard[1:])
+    return {
+        sender: [frames[sender] for frames in heard]
+        for sender in heard[0]
+        if sender in complete
+    }
 
 
 def transmit_unicast(
@@ -118,7 +161,7 @@ def transmit_unicast(
         dest: _frame_payload(payload, max_bits, rounds, bandwidth)
         for dest, payload in payloads.items()
     }
-    received: Dict[int, list] = {}
+    heard = []
     for r in range(rounds):
         outbox = (
             Outbox.fixed_width_map(
@@ -128,12 +171,10 @@ def transmit_unicast(
             else Outbox.silent()
         )
         inbox = yield outbox
-        for sender, value in inbox_uints(inbox):
-            received.setdefault(sender, []).append(value)
+        heard.append(dict(inbox_uints(inbox)))
     return {
-        sender: _parse_concat(Bits.from_uint_concat(frames, bandwidth), max_bits)
-        for sender, frames in received.items()
-        if len(frames) == rounds
+        sender: _parse_concat(frames, bandwidth, max_bits)
+        for sender, frames in _streams(heard).items()
     }
 
 
@@ -155,7 +196,7 @@ def transmit_broadcast(
         if payload is None
         else _frame_payload(payload, max_bits, rounds, bandwidth)
     )
-    received: Dict[int, list] = {}
+    heard = []
     for r in range(rounds):
         outbox = (
             Outbox.silent()
@@ -163,12 +204,10 @@ def transmit_broadcast(
             else Outbox.broadcast_uint(frames[r], bandwidth)
         )
         inbox = yield outbox
-        for sender, value in inbox_uints(inbox):
-            received.setdefault(sender, []).append(value)
+        heard.append(dict(inbox_uints(inbox)))
     return {
-        sender: _parse_concat(Bits.from_uint_concat(chunks, bandwidth), max_bits)
-        for sender, chunks in received.items()
-        if len(chunks) == rounds
+        sender: _parse_concat(chunks, bandwidth, max_bits)
+        for sender, chunks in _streams(heard).items()
     }
 
 
@@ -249,8 +288,9 @@ def transmit_broadcast_redundant(
     smallest ``(length, value)`` candidate, so all receivers of the same
     copies agree.  With at most ``floor((copies-1)/2)`` of a sender's
     copies corrupted, the true payload wins the vote outright.  A copy
-    whose corrupted length header no longer parses is discarded rather
-    than allowed to abort the phase (the strict single-shot
+    whose corrupted length header no longer parses (it overruns the
+    frames or exceeds ``max_bits``) is discarded rather than allowed to
+    abort the phase (the strict single-shot
     :func:`transmit_broadcast` raises there — redundancy exists exactly
     so one bad copy is survivable).  Costs
     ``copies * phase_length(max_bits, b)`` rounds.
@@ -266,7 +306,7 @@ def transmit_broadcast_redundant(
     )
     votes: Dict[int, Dict[Tuple[int, int], int]] = {}
     for _ in range(copies):
-        received: Dict[int, list] = {}
+        heard = []
         for r in range(rounds):
             outbox = (
                 Outbox.silent()
@@ -274,15 +314,10 @@ def transmit_broadcast_redundant(
                 else Outbox.broadcast_uint(frames[r], bandwidth)
             )
             inbox = yield outbox
-            for sender, value in inbox_uints(inbox):
-                received.setdefault(sender, []).append(value)
-        for sender, chunks in received.items():
-            if len(chunks) != rounds:
-                continue
+            heard.append(dict(inbox_uints(inbox)))
+        for sender, chunks in _streams(heard).items():
             try:
-                copy = _parse_concat(
-                    Bits.from_uint_concat(chunks, bandwidth), max_bits
-                )
+                copy = _parse_concat(chunks, bandwidth, max_bits)
             except DecodeError:
                 continue
             key = (len(copy), copy.to_uint())
@@ -369,17 +404,13 @@ def kernel_transmit_unicast(builder, links, max_bits: int, get_payloads, set_res
         builder.unicast_round(pairs, bandwidth, send, recv)
 
     def done(state):
-        got = state.pop(key)["got"]
-        instances = got[0].shape[0] if got else len(get_payloads(state))
-        received = [
-            [dict() for _ in range(builder.n)] for _ in range(instances)
-        ]
+        # A phase lasts at least one round, so ``got`` is never empty;
+        # streams[k][j] is link j's frame uints in instance k.
+        streams = np.stack(state.pop(key)["got"], axis=-1).tolist()
+        received = [[dict() for _ in range(builder.n)] for _ in streams]
         for j, (src, dst) in enumerate(flat_links):
-            for k in range(instances):
-                stream = Bits.from_uint_concat(
-                    (int(got[r][k, j]) for r in range(rounds)), bandwidth
-                )
-                received[k][dst][src] = _parse_concat(stream, max_bits)
+            for k, frames in enumerate(streams):
+                received[k][dst][src] = _parse_concat(frames[j], bandwidth, max_bits)
         set_result(state, received)
 
     builder.before(done)
@@ -430,15 +461,12 @@ def kernel_transmit_broadcast(builder, writers, max_bits: int, get_payloads, set
         builder.broadcast_round(writer_list, bandwidth, send, recv)
 
     def done(state):
-        got = state.pop(key)["got"]
-        instances = got[0].shape[0] if got else len(get_payloads(state))
+        # streams[k][j] is writer j's frame uints in instance k.
+        streams = np.stack(state.pop(key)["got"], axis=-1).tolist()
         payloads = {}
         for j, writer in enumerate(writer_list):
-            for k in range(instances):
-                stream = Bits.from_uint_concat(
-                    (int(got[r][k, j]) for r in range(rounds)), bandwidth
-                )
-                payloads[(k, writer)] = _parse_concat(stream, max_bits)
+            for k, frames in enumerate(streams):
+                payloads[(k, writer)] = _parse_concat(frames[j], bandwidth, max_bits)
         received = [
             [
                 {
@@ -448,7 +476,7 @@ def kernel_transmit_broadcast(builder, writers, max_bits: int, get_payloads, set
                 }
                 for v in range(builder.n)
             ]
-            for k in range(instances)
+            for k in range(len(streams))
         ]
         set_result(state, received)
 

@@ -43,6 +43,42 @@ class Graph:
             graph.add_edge(u, v)
         return graph
 
+    @classmethod
+    def from_adjacency_matrix(cls, matrix) -> "Graph":
+        """The graph whose :meth:`adjacency_matrix` is ``matrix``: a
+        square, symmetric, zero-diagonal array of booleans (``bool`` or
+        0/1 integers).  Adjacency sets and ``m`` are built in bulk from
+        one ``nonzero`` scan, not one :meth:`add_edge` per edge; raises
+        ``ValueError`` naming the property a malformed array violates."""
+        import numpy as np
+
+        mat = np.asarray(matrix)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(
+                f"adjacency matrix must be square, got shape {mat.shape}"
+            )
+        if mat.dtype != np.bool_:
+            if mat.dtype.kind not in "biu" or ((mat != 0) & (mat != 1)).any():
+                raise ValueError("adjacency matrix must be boolean (0/1 entries)")
+            mat = mat.astype(np.bool_)
+        if mat.diagonal().any():
+            raise ValueError("adjacency matrix must have a zero diagonal")
+        if (mat != mat.T).any():
+            raise ValueError("adjacency matrix must be symmetric")
+        n = mat.shape[0]
+        graph = cls(n)
+        rows, cols = np.nonzero(mat)
+        # ``nonzero`` walks the matrix row-major: row v's neighbours are
+        # one contiguous run of ``cols``.
+        ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+        flat = cols.tolist()
+        start = 0
+        for v, end in enumerate(ends):
+            graph._adj[v] = set(flat[start:end])
+            start = end
+        graph._m = len(flat) // 2
+        return graph
+
     def add_edge(self, u: int, v: int) -> None:
         self._check_vertex(u)
         self._check_vertex(v)

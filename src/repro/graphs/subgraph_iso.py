@@ -92,7 +92,13 @@ def iter_embeddings(host: Graph, pattern: Graph) -> Iterator[Dict[int, int]]:
             del assignment[h]
             used.discard(g)
 
-    yield from backtrack(0)
+    try:
+        yield from backtrack(0)
+    finally:
+        # ``backtrack`` reaches itself through its closure; clearing the
+        # cell breaks that cycle, so the host graph is freed as soon as
+        # the search ends instead of at the next cyclic collection.
+        del backtrack
 
 
 def find_embedding(host: Graph, pattern: Graph) -> Optional[Dict[int, int]]:

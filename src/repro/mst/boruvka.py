@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
-from repro.core.bits import Bits, BitWriter
+from repro.core.bits import Bits
 from repro.core.network import Context, Mode, Network, RunResult
 from repro.core.phases import transmit_broadcast
 from repro.graphs.graph import Edge, Graph, canonical_edge
@@ -113,17 +113,13 @@ def boruvka_program(wg: WeightedGraph):
     phases = max(1, math.ceil(math.log2(max(2, n))))
 
     def encode(edge: Optional[Tuple[int, int]]) -> Bits:
-        writer = BitWriter()
+        # present flag, weight, u, v — most significant first.
         if edge is None:
-            writer.write_uint(0, 1)
-            writer.write_uint(0, weight_bits + 2 * id_bits)
-        else:
-            u, v = edge
-            writer.write_uint(1, 1)
-            writer.write_uint(wg.weight(u, v), weight_bits)
-            writer.write_uint(u, id_bits)
-            writer.write_uint(v, id_bits)
-        return writer.getvalue()
+            return Bits(0, message_bits)
+        u, v = edge
+        raw = (1 << weight_bits) | wg.weight(u, v)
+        raw = (((raw << id_bits) | u) << id_bits) | v
+        return Bits(raw, message_bits)
 
     id_mask = (1 << id_bits) - 1
     weight_mask = (1 << weight_bits) - 1
@@ -142,36 +138,41 @@ def boruvka_program(wg: WeightedGraph):
     def program(ctx: Context):
         me = ctx.node_id
         component = list(range(n))
+        # members[c]: the nodes labelled c, so a merge relabels only the
+        # absorbed component.
+        members = [[v] for v in range(n)]
         tree: Set[Edge] = set()
+        # Incident edges ranked once by the total order; an edge that
+        # becomes internal stays internal, so each phase resumes the
+        # scan where the previous one stopped.
+        ranked = sorted(wg.key(me, u) for u in wg.graph.neighbors(me))
+        next_edge = 0
 
         for _phase in range(phases):
             candidate: Optional[Tuple[int, int]] = None
-            best_key = None
-            for u in wg.graph.neighbors(me):
-                if component[u] == component[me]:
-                    continue
-                key = wg.key(me, u)
-                if best_key is None or key < best_key:
-                    best_key = key
+            while next_edge < len(ranked):
+                _weight, a, b = ranked[next_edge]
+                u = b if a == me else a
+                if component[u] != component[me]:
                     candidate = (me, u)
+                    break
+                next_edge += 1
             received = yield from transmit_broadcast(
                 ctx, encode(candidate), max_bits=message_bits
             )
             proposals: Dict[int, Tuple[int, int, int]] = {}
-            all_messages = dict(received)
-            for sender, payload in all_messages.items():
+            for sender, payload in received.items():
                 decoded = decode(payload)
                 if decoded is None:
                     continue
                 weight, u, v = decoded
                 comp = component[u]
-                key = (weight, min(u, v), max(u, v))
+                key = (weight, u, v) if u < v else (weight, v, u)
                 if comp not in proposals or key < proposals[comp]:
                     proposals[comp] = key
             if candidate is not None:
-                u, v = candidate
-                key = wg.key(u, v)
-                comp = component[u]
+                key = ranked[next_edge]
+                comp = component[me]
                 if comp not in proposals or key < proposals[comp]:
                     proposals[comp] = key
             if not proposals:
@@ -184,9 +185,10 @@ def boruvka_program(wg: WeightedGraph):
                     continue
                 tree.add(canonical_edge(u, v))
                 low, high = min(cu, cv), max(cu, cv)
-                for w in range(n):
-                    if component[w] == high:
-                        component[w] = low
+                for w in members[high]:
+                    component[w] = low
+                members[low].extend(members[high])
+                members[high] = []
         return frozenset(tree)
 
     return program

@@ -620,8 +620,15 @@ def run_sharded(
                 slot.proc.kill()
                 slot.proc.join(timeout=5.0)
         for slot in slots:
-            slot.queue.cancel_join_thread()
             slot.queue.close()
+            if slot.proc.exitcode == 0:
+                # The worker read its queue up to the sentinel, so the
+                # feeder thread has nothing left to flush.  Joining it
+                # releases the queue's named semaphores before the sweep
+                # returns, instead of whenever the thread gets scheduled.
+                slot.queue.join_thread()
+            else:
+                slot.queue.cancel_join_thread()
         result_queue.cancel_join_thread()
         result_queue.close()
         if shm_prefix is not None:

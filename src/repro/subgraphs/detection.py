@@ -24,6 +24,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.bits import Bits
 from repro.core.compiled import declare_schedule_digest, mark_oblivious
+from repro.core.errors import DecodeError
 from repro.core.network import Mode, Network, RunResult
 from repro.core.phases import transmit_broadcast
 from repro.graphs.graph import Edge, Graph, canonical_edge
@@ -106,6 +107,31 @@ def detect_subgraph(
     return result.outputs[0], result
 
 
+def _union_of_rows(rows, n: int):
+    """The symmetric n x n bool matrix whose edge set is the union of
+    the broadcast rows: ``rows[v]`` is node v's n-bit adjacency row as a
+    uint, bit 0 of the row (vertex 0) being its most significant bit.
+
+    All rows are unpacked with one ``np.unpackbits`` over their
+    big-endian bytes; the leading pad of ``8 * ceil(n / 8) - n`` bits is
+    sliced off.  OR-ing with the transpose keeps an edge either endpoint
+    reported, and the diagonal is cleared."""
+    import numpy as np
+
+    missing = [v for v in range(n) if v not in rows]
+    if missing:
+        raise DecodeError(f"the adjacency row of node {missing[0]} never arrived")
+    width = -(-n // 8)
+    packed = np.frombuffer(
+        b"".join(rows[v].to_bytes(width, "big") for v in range(n)),
+        dtype=np.uint8,
+    ).reshape(n, width)
+    matrix = np.unpackbits(packed, axis=1)[:, 8 * width - n :].view(np.bool_)
+    matrix = matrix | matrix.T
+    np.fill_diagonal(matrix, False)
+    return matrix
+
+
 def full_learning_program(pattern: Graph):
     """The trivial baseline: broadcast the full adjacency row (n bits per
     node, O(n/b) rounds) and search locally.  For χ(H) >= 3 this matches
@@ -115,19 +141,9 @@ def full_learning_program(pattern: Graph):
         n = ctx.n
         row = Bits.from_bools([u in ctx.input for u in range(n)])
         received = yield from transmit_broadcast(ctx, row, max_bits=n)
-        graph = Graph(n)
         rows = {v: payload.to_uint() for v, payload in received.items()}
         rows[ctx.node_id] = row.to_uint()
-        for v in range(n):
-            # Walk only the set bits of the row (bit 0 of the Bits
-            # payload is the MSB of its uint, hence u = n-1-position).
-            value = rows[v]
-            while value:
-                low = value & -value
-                u = n - low.bit_length()
-                if u != v:
-                    graph.add_edge(v, u)
-                value ^= low
+        graph = Graph.from_adjacency_matrix(_union_of_rows(rows, n))
         witness = _witness(graph, pattern)
         return DetectionOutcome(
             contains=witness is not None, witness=witness, via_density=False

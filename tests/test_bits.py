@@ -154,8 +154,8 @@ class TestWriterReader:
 
 
 class TestUintChunks:
-    """The bulk to_uint_chunks / from_uint_concat fast path mirrors the
-    per-chunk Bits slicing it replaces."""
+    """The bulk to_uint_chunks fast path mirrors the per-chunk Bits
+    slicing it replaces."""
 
     @given(bits_strategy, st.integers(min_value=1, max_value=40))
     def test_matches_chunks(self, bits, width):
@@ -163,28 +163,15 @@ class TestUintChunks:
             chunk.to_uint() for chunk in bits.chunks(width)
         ]
 
-    @given(
-        st.lists(st.integers(min_value=0, max_value=2**24 - 1), max_size=20),
-        st.integers(min_value=24, max_value=40),
-    )
-    def test_from_uint_concat_matches_concat(self, values, width):
-        assert Bits.from_uint_concat(values, width) == Bits.concat(
-            Bits(v, width) for v in values
-        )
-
     @given(bits_strategy, st.integers(min_value=1, max_value=40))
     def test_roundtrip_on_whole_frames(self, bits, width):
         padded = bits.pad_to(-(-len(bits) // width) * width if bits else 0)
         chunks = padded.to_uint_chunks(width)
-        assert Bits.from_uint_concat(chunks, width) == padded
+        assert Bits.concat(Bits(c, width) for c in chunks) == padded
 
     def test_width_validated(self):
         with pytest.raises(ValueError):
             Bits.from_str("101").to_uint_chunks(0)
-        with pytest.raises(ValueError):
-            Bits.from_uint_concat([4], 2)
-        with pytest.raises(ValueError):
-            Bits.from_uint_concat([1], 0)
 
     def test_short_final_chunk(self):
         assert Bits.from_str("11101").to_uint_chunks(2) == [3, 2, 1]

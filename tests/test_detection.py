@@ -144,3 +144,26 @@ class TestFullLearningBaseline:
         outcome, _ = full_learning_detect(g, cycle_graph(3), bandwidth=8)
         if outcome.witness:
             witness_is_valid(g, cycle_graph(3), outcome.witness)
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_missing_row_raises_decode_error(self, engine):
+        # Dropped frames leave node 2's row incomplete at every receiver:
+        # the run fails with a DecodeError naming the node, not KeyError.
+        from repro.core.errors import DecodeError
+        from repro.core.faults import FaultPlan
+        from repro.core.network import Mode, Network
+        from repro.subgraphs.detection import full_learning_program
+
+        g = cycle_graph(8)
+        network = Network(
+            n=8,
+            bandwidth=8,
+            mode=Mode.BROADCAST,
+            engine=engine,
+            fault_plan=FaultPlan(seed=1, drop_rate=0.3),
+        )
+        with pytest.raises(DecodeError, match="row of node 2 never arrived"):
+            network.run(
+                full_learning_program(cycle_graph(4)),
+                inputs=[g.neighbors(v) for v in range(8)],
+            )

@@ -637,6 +637,29 @@ class TestDegradationChain:
         with pytest.raises(OSError, match="legacy infra down"):
             DEFAULT_PLANNER._degrade(network, chatter_program(1), call)
 
+    def test_planned_legacy_failure_never_degrades(self):
+        # A run planned on the reference engine never falls back to a
+        # faster one: legacy's own exception propagates unchanged.
+        def buggy(ctx):
+            yield Outbox.broadcast_uint(ctx.node_id, WIDTH)
+            raise KeyError("program bug")
+
+        network = Network(n=4, bandwidth=WIDTH, mode=Mode.BROADCAST, engine="legacy")
+        with pytest.raises(KeyError, match="program bug"):
+            network.run(buggy)
+
+        from repro.core.engine.planner import DEFAULT_PLANNER
+
+        calls = []
+
+        def call(engine):
+            calls.append(engine.name)
+            raise OSError(f"{engine.name} infra down")
+
+        with pytest.raises(OSError, match="legacy infra down"):
+            DEFAULT_PLANNER._degrade(network, chatter_program(1), call)
+        assert calls == ["legacy"]
+
 
 class TestResilientPhases:
     def drop_plan(self):

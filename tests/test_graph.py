@@ -227,3 +227,49 @@ class TestAgainstNetworkx:
     @given(graph_strategy())
     def test_edge_set_roundtrip(self, g):
         assert Graph.from_edges(g.n, g.edges()) == g
+
+
+class TestFromAdjacencyMatrix:
+    @given(graph_strategy())
+    def test_roundtrip(self, g):
+        back = Graph.from_adjacency_matrix(g.adjacency_matrix())
+        assert back == g
+        assert back.m == g.m
+        assert back.edge_set() == g.edge_set()
+
+    @given(graph_strategy())
+    def test_matches_networkx(self, g):
+        import numpy as np
+
+        if g.n:
+            matrix = nx.to_numpy_array(to_nx(g), nodelist=range(g.n))
+        else:
+            matrix = np.zeros((0, 0))
+        built = Graph.from_adjacency_matrix(matrix.astype(bool))
+        oracle = nx.from_numpy_array(matrix)
+        assert built.m == oracle.number_of_edges()
+        assert built.edge_set() == {
+            (min(u, v), max(u, v)) for u, v in oracle.edges()
+        }
+
+    def test_bulk_graph_stays_mutable(self):
+        g = Graph.from_adjacency_matrix(cycle_graph(5).adjacency_matrix())
+        g.add_edge(0, 2)
+        g.remove_edge(0, 1)
+        assert g.m == 5
+        assert g.adjacency_matrix()[0, 2] == 1
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([0, 1, 1], "square"),
+            ([[0, 1, 0], [1, 0, 1]], "square"),
+            ([[0, 1], [0, 0]], "symmetric"),
+            ([[1, 0], [0, 0]], "zero diagonal"),
+            ([[0, 2], [2, 0]], "boolean"),
+            ([[0.0, 1.0], [1.0, 0.0]], "boolean"),
+        ],
+    )
+    def test_rejections_name_the_property(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_adjacency_matrix(matrix)

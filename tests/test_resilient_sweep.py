@@ -336,6 +336,17 @@ class TestPoolDeterminism:
         stats = pooled.meta["pool"]["worker_stats"]
         assert sum(s["cells"] for s in stats.values()) == len(serial.cells)
 
+    def test_clean_teardown_leaves_no_queue_feeder_running(self):
+        # A live feeder thread holds its queue's named semaphores in
+        # /dev/shm; after a clean sweep every one has been joined.
+        import threading
+
+        pooled = ScenarioMatrix(self.PROTOS, ["gnp"], [8]).run(workers=2)
+        assert pooled.meta["pool"]["executor"] == "pool"
+        assert not [
+            t for t in threading.enumerate() if t.name == "QueueFeederThread"
+        ]
+
     def test_chaos_worker_kills_do_not_change_digests(self, temp_protocols):
         temp_protocols(CONST)
         def sweep():
