@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import (
     AND,
@@ -144,8 +146,8 @@ def inner_product_circuit(half_n: int) -> Circuit:
     circuit = Circuit()
     xs = circuit.add_inputs(half_n)
     ys = circuit.add_inputs(half_n)
-    products = [circuit.add_gate(AND, [x, y]) for x, y in zip(xs, ys)]
-    root = circuit.add_gate(XOR, products)
+    products = circuit.add_gates(AND, np.column_stack([xs, ys]))
+    root = circuit.add_gate(XOR, products.tolist())
     circuit.mark_output(root)
     return circuit
 

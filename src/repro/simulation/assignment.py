@@ -16,11 +16,12 @@ excluded from all communication and carry no weight.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import List, Set, Tuple
 
-from repro.circuits.circuit import CONST_KIND, Circuit
+import numpy as np
+
+from repro.circuits.circuit import Circuit
 
 __all__ = ["GateAssignment", "assign_gates"]
 
@@ -43,68 +44,88 @@ class GateAssignment:
         return [gid for gid, p in enumerate(self.owner) if p == player]
 
 
+def _min_load_first(
+    load: np.ndarray, weight: int, count: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The players a min-load-first heap of ``(load, player)`` entries
+    hands the next ``count`` gates of one ``weight``, in order, and the
+    load each pick reaches.  Every pick adds the same weight, so the picks
+    are the ``count`` smallest pairs ``(load[p] + k·weight, p)``, k ≥ 0:
+    a binary search finds the largest value taken, and one lexsort
+    orders the picks below it."""
+
+    def picks_upto(value: int) -> np.ndarray:
+        return np.maximum((value - load) // weight + 1, 0)
+
+    lo = int(load.min())
+    hi = lo + (count - 1) * weight
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if picks_upto(mid).sum() >= count:
+            hi = mid
+        else:
+            lo = mid + 1
+    picks = picks_upto(lo - 1)
+    # Ties at the last value go to the lowest player ids.
+    at_last = np.flatnonzero((load <= lo) & ((lo - load) % weight == 0))
+    picks[at_last[: count - int(picks.sum())]] += 1
+    players = np.repeat(np.arange(load.size), picks)
+    steps = np.arange(count) - np.repeat(np.cumsum(picks) - picks, picks)
+    reached = np.repeat(load, picks) + (steps + 1) * weight
+    order = np.lexsort((players, reached))
+    return players[order], reached[order]
+
+
 def assign_gates(circuit: Circuit, n: int) -> GateAssignment:
     """Construct the assignment I of Theorem 2's proof."""
     if n < 1:
         raise ValueError("need at least one player")
-    wires = circuit.wire_count()
+    table = circuit.table()
+    wires = int(table.flat.size)
     s_param = max(1, -(-wires // (n * n)))
     heavy_threshold = 2 * n * s_param
     capacity = 4 * n * s_param
 
-    owner: List[int] = [0] * len(circuit)
-    heavy: Set[int] = set()
+    weights = table.fan_in + table.fan_out
+    const_ids, _ = circuit.constants()
+    weights[const_ids] = 0
 
-    weights: Dict[int, int] = {}
-    for node in circuit.nodes:
-        if node.kind == CONST_KIND:
-            weights[node.gate_id] = 0
-        else:
-            weights[node.gate_id] = circuit.weight(node.gate_id)
-
-    heavy_ids = [
-        gid
-        for gid, w in weights.items()
-        if w >= heavy_threshold and circuit.node(gid).kind != CONST_KIND
-    ]
-    if len(heavy_ids) > n:
+    heavy_ids = np.flatnonzero(weights >= heavy_threshold)
+    if heavy_ids.size > n:
         raise AssertionError(
-            f"{len(heavy_ids)} heavy gates exceed n={n}; "
+            f"{heavy_ids.size} heavy gates exceed n={n}; "
             "the counting bound guarantees this cannot happen"
         )
-    for player, gid in enumerate(sorted(heavy_ids)):
-        owner[gid] = player
-        heavy.add(gid)
+    owner = np.zeros(len(circuit), dtype=np.int64)
+    owner[heavy_ids] = np.arange(heavy_ids.size)
 
-    # Pack light gates minimum-load-first; the counting argument in the
+    # Pack light gates minimum-load-first, heaviest first (ties by id);
+    # weightless gates stay with player 0.  The counting argument in the
     # proof of Theorem 2 shows capacity 4·n·s never overflows.
-    load = [0] * n
-    heap = [(0, p) for p in range(n)]
-    heapq.heapify(heap)
-    light_ids = sorted(
-        (gid for gid in weights if gid not in heavy),
-        key=lambda gid: -weights[gid],
-    )
-    for gid in light_ids:
-        w = weights[gid]
-        if w == 0:
-            owner[gid] = 0
-            continue
-        current, player = heapq.heappop(heap)
-        if current + w > capacity:
+    light = np.ones(len(circuit), dtype=bool)
+    light[heavy_ids] = False
+    light_ids = np.flatnonzero(light & (weights > 0))
+    light_ids = light_ids[np.argsort(-weights[light_ids], kind="stable")]
+    light_weights = weights[light_ids]
+    bounds = (np.flatnonzero(np.diff(light_weights)) + 1).tolist()
+    load = np.zeros(n, dtype=np.int64)
+    runs = zip([0, *bounds], [*bounds, light_ids.size]) if light_ids.size else ()
+    for lo, hi in runs:
+        weight = int(light_weights[lo])
+        players, reached = _min_load_first(load, weight, hi - lo)
+        if reached[-1] > capacity:
             raise AssertionError(
                 "light-gate packing overflowed its capacity; "
                 "this contradicts the counting bound of Theorem 2"
             )
-        owner[gid] = player
-        load[player] = current + w
-        heapq.heappush(heap, (current + w, player))
+        owner[light_ids[lo:hi]] = players
+        load += np.bincount(players, minlength=n) * weight
 
     return GateAssignment(
-        owner=owner,
-        heavy=heavy,
+        owner=owner.tolist(),
+        heavy=set(heavy_ids.tolist()),
         s_param=s_param,
         heavy_threshold=heavy_threshold,
         capacity=capacity,
-        light_load=load,
+        light_load=load.tolist(),
     )

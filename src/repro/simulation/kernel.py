@@ -30,6 +30,12 @@ summaries — by Definition 1 (b-separability) the two are the same
 function, which is also why the generator's ``combine`` of honest
 summaries matches.
 
+Everything structural comes from the circuit's column store:
+:meth:`~repro.circuits.circuit.Circuit.table` derives family codes,
+fan-ins, offsets, flat input ids and the per-gate parameters with numpy
+and caches them on the circuit, so compiling a plan builds no per-gate
+:class:`~repro.circuits.circuit.GateNode`.
+
 Routed payloads never become :class:`~repro.core.bits.Bits`: gate
 columns are packed straight into the routed frame matrix and the
 delivered frames unpacked straight back into the value matrix
@@ -39,12 +45,20 @@ delivered frames unpacked straight back into the value matrix
 from __future__ import annotations
 
 from itertools import chain
-from operator import attrgetter
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.circuits.circuit import CONST_KIND
+from repro.circuits.circuit import (
+    AND_FAMILY,
+    FALLBACK_FAMILY,
+    MOD_FAMILY,
+    NOT_FAMILY,
+    OR_FAMILY,
+    THR_FAMILY,
+    XOR_FAMILY,
+    CircuitTable,
+)
 from repro.circuits.gates import (
     AndGate,
     GenericGate,
@@ -73,39 +87,16 @@ __all__ = [
 
 Pair = Tuple[int, int]
 
-# Gate families the layer evaluator sums, in layout order; FALLBACK
-# (last) goes through vector_compute one gate at a time.
-AND, OR, NOT, XOR, MOD, THR, FALLBACK = range(7)
-_FAMILY_CLASSES = (
-    (AndGate, AND),
-    (OrGate, OR),
-    (NotGate, NOT),
-    (XorGate, XOR),
-    (ModGate, MOD),
-    (ThresholdGate, THR),
-)
-# Weighted sums, thresholds and moduli past this stay exact in int64.
-_INT64_SAFE = 1 << 62
-
 #: State key of the ``K × gates`` 0/1 gate-value matrix the simulation
 #: rounds read and write.
 VALS_KEY = "vals"
 
 
-def _family_of(gate_type: type) -> int:
-    for cls, family in _FAMILY_CLASSES:
-        if issubclass(gate_type, cls):
-            return family
-    return FALLBACK
-
-
 def constant_columns(circuit) -> Tuple[np.ndarray, np.ndarray]:
     """(gate-id columns, 0/1 values) of the circuit's constant nodes —
-    the seed every fresh ``K × gates`` value matrix needs."""
-    consts = [node for node in circuit.nodes if node.kind == CONST_KIND]
-    cols = np.asarray([node.gate_id for node in consts], dtype=np.intp)
-    vals = np.asarray([1 if node.const_value else 0 for node in consts], dtype=np.uint8)
-    return cols, vals
+    the seed every fresh ``K × gates`` value matrix needs — read off the
+    circuit's columns."""
+    return circuit.constants()
 
 
 def vector_compute(gate, part: np.ndarray) -> np.ndarray:
@@ -169,49 +160,6 @@ def vector_summary(
     return out
 
 
-class _GateTable:
-    """Every node of a circuit in CSR form, from one pass over
-    ``circuit.nodes``: family code (-1 for inputs and constants),
-    fan-in, offsets into the flat input-id array, a per-gate parameter
-    (MOD modulus, threshold) and per-wire weights (``None`` unless some
-    threshold gate is weighted)."""
-
-    def __init__(self, circuit) -> None:
-        nodes = circuit.nodes
-        count = len(nodes)
-        self.nodes = nodes
-        gate_types = list(map(type, map(attrgetter("gate"), nodes)))
-        codes = {gate_type: _family_of(gate_type) for gate_type in set(gate_types)}
-        codes[type(None)] = -1
-        self.family = np.fromiter(
-            map(codes.__getitem__, gate_types), dtype=np.int8, count=count
-        )
-        inputs = list(map(attrgetter("inputs"), nodes))
-        self.fan_in = np.fromiter(map(len, inputs), dtype=np.int64, count=count)
-        self.offsets = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(self.fan_in, out=self.offsets[1:])
-        self.flat = np.fromiter(
-            chain.from_iterable(inputs), dtype=np.int32, count=int(self.offsets[-1])
-        )
-        self.param = np.zeros(count, dtype=np.int64)
-        self.weights = None
-        for gid in np.flatnonzero((self.family == MOD) | (self.family == THR)):
-            gate = nodes[gid].gate
-            if self.family[gid] == MOD:
-                param, weights = gate.modulus, None
-            else:
-                param, weights = gate.threshold, gate.weights
-            total = int(self.fan_in[gid]) if weights is None else sum(weights)
-            if max(param, total) >= _INT64_SAFE:
-                self.family[gid] = FALLBACK
-                continue
-            self.param[gid] = param
-            if weights is not None:
-                if self.weights is None:
-                    self.weights = np.ones(self.flat.size, dtype=np.int64)
-                self.weights[self.offsets[gid] : self.offsets[gid + 1]] = weights
-
-
 class LayerEvaluator:
     """Same-layer gates compiled for evaluation on a ``K × gates`` 0/1
     value matrix.
@@ -227,19 +175,15 @@ class LayerEvaluator:
     never read each other, so the order is free.
     """
 
-    def __init__(self, table: _GateTable, gids) -> None:
+    def __init__(self, table: CircuitTable, gids) -> None:
         gids = np.asarray(gids, dtype=np.int64)
         families = table.family[gids]
         order = np.argsort(families, kind="stable")
         gids = gids[order]
         families = families[order]
-        summed = int(np.searchsorted(families, FALLBACK))
+        summed = int(np.searchsorted(families, FALLBACK_FAMILY))
         self.fallback = [
-            (
-                int(gid),
-                table.nodes[gid].gate,
-                np.asarray(table.nodes[gid].inputs, dtype=np.intp),
-            )
+            (int(gid), table.gate(gid), table.inputs(gid).astype(np.intp))
             for gid in gids[summed:]
         ]
         gids = gids[:summed]
@@ -253,19 +197,19 @@ class LayerEvaluator:
         self.starts = starts.astype(np.int32)
         self.out = gids.astype(np.intp)
         self.weights = None
-        if table.weights is not None and (families == THR).any():
+        if table.weights is not None and (families == THR_FAMILY).any():
             weights = table.weights[wire]
             if (weights != 1).any():
                 self.weights = weights
-        bounds = np.searchsorted(families, np.arange(FALLBACK + 1))
+        bounds = np.searchsorted(families, np.arange(FALLBACK_FAMILY + 1))
         self.groups = []
-        for family in range(FALLBACK):
+        for family in range(FALLBACK_FAMILY):
             lo, hi = int(bounds[family]), int(bounds[family + 1])
             if lo == hi:
                 continue
-            if family == AND:
+            if family == AND_FAMILY:
                 operand = fan_in[lo:hi]
-            elif family in (MOD, THR):
+            elif family in (MOD_FAMILY, THR_FAMILY):
                 operand = table.param[gids[lo:hi]]
             else:
                 operand = None
@@ -280,15 +224,15 @@ class LayerEvaluator:
             result = np.empty(sums.shape, dtype=bool)
             for family, lo, hi, operand in self.groups:
                 part = sums[:, lo:hi]
-                if family == AND:
+                if family == AND_FAMILY:
                     result[:, lo:hi] = part == operand
-                elif family == OR:
+                elif family == OR_FAMILY:
                     result[:, lo:hi] = part > 0
-                elif family == NOT:
+                elif family == NOT_FAMILY:
                     result[:, lo:hi] = part == 0
-                elif family == XOR:
+                elif family == XOR_FAMILY:
                     result[:, lo:hi] = (part & 1).astype(bool)
-                elif family == MOD:
+                elif family == MOD_FAMILY:
                     result[:, lo:hi] = part % operand == 0
                 else:
                     result[:, lo:hi] = part >= operand
@@ -347,8 +291,7 @@ def _routed(order, lengths, schedule, bandwidth):
 class _LayerKernel:
     """The compiled rounds of one :class:`LayerPlan`."""
 
-    def __init__(self, plan: SimulationPlan, lp, table: _GateTable) -> None:
-        nodes = plan.circuit.nodes
+    def __init__(self, plan: SimulationPlan, lp, table: CircuitTable) -> None:
         self.heavy = LayerEvaluator(table, lp.heavy_gates) if lp.heavy_gates else None
         self.summary = None
         if lp.has_summary_round:
@@ -367,9 +310,9 @@ class _LayerKernel:
             for sender, owner, gid, positions in messages:
                 by_src.setdefault(sender, []).append(owner)
                 widths.append(plan.summary_width(gid))
-                node = nodes[gid]
-                cols = np.asarray([node.inputs[p] for p in positions], dtype=np.intp)
-                parts.append((node.gate, positions, cols, len(node.inputs)))
+                inputs = table.inputs(gid)
+                cols = inputs[positions].astype(np.intp)
+                parts.append((table.gate(gid), positions, cols, inputs.size))
             self.summary = (sorted(by_src.items()), widths, parts)
         self.push = _push_spec(lp.push_recv) if lp.push_recv else None
         self.light_route = None
@@ -387,8 +330,9 @@ class KernelPlan:
     seeds, routed-payload layouts and their gate columns, push and
     summary index arrays, and one :class:`LayerEvaluator` per layer's
     light and heavy gate sets — everything
-    :func:`append_simulation_rounds` needs, derived once (with one pass
-    over ``circuit.nodes``) however often the simulation is appended."""
+    :func:`append_simulation_rounds` needs, derived once from the
+    circuit's cached CSR table however often the simulation is
+    appended."""
 
     def __init__(self, plan: SimulationPlan) -> None:
         self.plan = plan
@@ -402,7 +346,7 @@ class KernelPlan:
         self.layer0_push = (
             _push_spec(plan.layer0_push_recv) if plan.layer0_push_recv else None
         )
-        table = _GateTable(plan.circuit)
+        table = plan.circuit.table()
         self.layers = [
             _LayerKernel(plan, lp, table) for lp in plan.layer_plans
         ]

@@ -34,10 +34,13 @@ further instance.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.circuits.circuit import CONST_KIND, GATE_KIND, Circuit
+import numpy as np
+
+from repro.circuits.circuit import Circuit, CircuitTable
 from repro.core.bits import Bits
 from repro.core.compiled import declare_schedule_digest, mark_oblivious
 from repro.core.network import Context, Mode, Network, Outbox, RunResult
@@ -92,25 +95,58 @@ class SimulationPlan:
     layer_plans: List[LayerPlan] = field(default_factory=list)
 
     def summary_width(self, gid: int) -> int:
-        node = self.circuit.node(gid)
-        return node.gate.summary_width(len(node.inputs))
+        return _summary_width(self.circuit.table(), gid)
+
+
+def _summary_width(table: CircuitTable, gid: int) -> int:
+    return table.gate(gid).summary_width(int(table.fan_in[gid]))
 
 
 def _heavy_push_destinations(
-    circuit: Circuit, assignment: GateAssignment
+    table: CircuitTable,
+    consumer: np.ndarray,
+    owner: np.ndarray,
+    heavy: np.ndarray,
+    n: int,
 ) -> Dict[int, List[int]]:
     """For each heavy gate, the players owning at least one of its light
-    consumers (the deduplicated sends of step (b))."""
-    destinations: Dict[int, set] = {gid: set() for gid in assignment.heavy}
-    for node in circuit.nodes:
-        if node.kind != GATE_KIND:
-            continue
-        consumer_owner = assignment.owner[node.gate_id]
-        for src in node.inputs:
-            if src in assignment.heavy and consumer_owner != assignment.owner[src]:
-                if node.gate_id not in assignment.heavy:
-                    destinations[src].add(consumer_owner)
-    return {gid: sorted(dests) for gid, dests in destinations.items()}
+    consumers (the deduplicated sends of step (b)).  ``consumer`` names
+    the gate reading each wire of ``table.flat``."""
+    src = table.flat
+    sent = heavy[src] & ~heavy[consumer] & (owner[src] != owner[consumer])
+    edges = np.unique(src[sent].astype(np.int64) * n + owner[consumer[sent]])
+    destinations: Dict[int, List[int]] = {
+        gid: [] for gid in np.flatnonzero(heavy).tolist()
+    }
+    for gid, dest in zip((edges // n).tolist(), (edges % n).tolist()):
+        destinations[gid].append(dest)
+    return destinations
+
+
+def _split(keys: np.ndarray, values: np.ndarray):
+    """(key, values list) per run of equal ``keys`` (already sorted)."""
+    if keys.size == 0:
+        return []
+    bounds = (np.flatnonzero(np.diff(keys)) + 1).tolist()
+    starts = [0, *bounds]
+    value_list = values.tolist()
+    return [
+        (key, value_list[lo:hi])
+        for key, lo, hi in zip(
+            keys[starts].tolist(), starts, [*bounds, len(value_list)]
+        )
+    ]
+
+
+def _check_partition(input_partition: Sequence[int], inputs: int, n: int) -> None:
+    if len(input_partition) != inputs:
+        raise ValueError("input_partition must name a player per input")
+    for position, player in enumerate(input_partition):
+        if not isinstance(player, numbers.Integral) or not 0 <= player < n:
+            raise ValueError(
+                f"input_partition[{position}] = {player!r} is not a player "
+                f"in [0, {n})"
+            )
 
 
 def build_plan(
@@ -123,15 +159,37 @@ def build_plan(
 
     ``input_partition[i]`` names the player initially holding circuit
     input i (defaults to round-robin).
+
+    Everything is derived from the circuit's CSR table
+    (:meth:`~repro.circuits.circuit.Circuit.table`) with array
+    operations: one pass over the wires finds every light wire that
+    crosses owners, and one sort of a combined (layer, source owner,
+    destination owner, source gate) key yields each layer's routed
+    orders.  Only heavy gates — at most n — are visited one by one.
     """
+    if bandwidth is not None and bandwidth < 1:
+        raise ValueError(f"bandwidth must be at least 1, got {bandwidth}")
     assignment = assign_gates(circuit, n)
-    layers = circuit.layers()
-    owner = assignment.owner
+    input_ids = circuit.input_ids
+    if input_partition is None:
+        input_partition = [i % n for i in range(len(input_ids))]
+    _check_partition(input_partition, len(input_ids), n)
+    table = circuit.table()
+    owner_list = assignment.owner
+    owner = np.asarray(owner_list, dtype=np.int64)
+    count = len(circuit)
+    heavy = np.zeros(count, dtype=bool)
+    heavy_ids = sorted(assignment.heavy)
+    heavy[heavy_ids] = True
+    const = np.zeros(count, dtype=bool)
+    const[circuit.constants()[0]] = True
+    layer = table.layer
+    num_layers = int(layer.max()) + 1 if count else 0
 
     heavy_widths = [
-        circuit.node(gid).gate.summary_width(circuit.fan_in(gid))
-        for gid in assignment.heavy
-        if circuit.node(gid).kind == GATE_KIND
+        _summary_width(table, gid)
+        for gid in heavy_ids
+        if table.gate(gid) is not None
     ]
     if bandwidth is None:
         bandwidth = max([1, assignment.s_param] + heavy_widths)
@@ -139,18 +197,16 @@ def build_plan(
     plan = SimulationPlan(
         circuit=circuit, n=n, assignment=assignment, bandwidth=bandwidth
     )
+    layer_plans = [LayerPlan(layer_index=level) for level in range(1, num_layers)]
 
     # ---- input redistribution -------------------------------------------
-    input_ids = circuit.input_ids
-    if input_partition is None:
-        input_partition = [i % n for i in range(len(input_ids))]
-    if len(input_partition) != len(input_ids):
-        raise ValueError("input_partition must name a player per input")
-    for position, gid in enumerate(input_ids):
-        holder = input_partition[position]
-        target = owner[gid]
-        if holder != target:
-            plan.input_order.setdefault((holder, target), []).append(gid)
+    ids = np.asarray(input_ids, dtype=np.int64)
+    holder = np.asarray(input_partition, dtype=np.int64)
+    moved = holder != owner[ids]
+    pair_key = holder[moved] * n + owner[ids[moved]]
+    order = np.argsort(pair_key, kind="stable")
+    for key, gids in _split(pair_key[order], ids[moved][order]):
+        plan.input_order[(key // n, key % n)] = gids
     plan.input_lengths = {
         pair: len(gids) for pair, gids in plan.input_order.items()
     }
@@ -158,58 +214,69 @@ def build_plan(
         payload_demand(plan.input_lengths, bandwidth), n
     )
 
-    # ---- heavy pushes ------------------------------------------------------
-    push_dests = _heavy_push_destinations(circuit, assignment)
-    layer_of: Dict[int, int] = {}
-    for level, gids in enumerate(layers):
-        for gid in gids:
-            layer_of[gid] = level
-    for gid, dests in push_dests.items():
-        level = layer_of[gid]
-        for dest in dests:
-            if level == 0:
-                plan.layer0_push_recv[(owner[gid], dest)] = gid
-
-    # ---- per-layer plans -----------------------------------------------------
-    for level in range(1, len(layers)):
-        lp = LayerPlan(layer_index=level)
-        light_members: Dict[Pair, set] = {}
-        for gid in layers[level]:
-            node = circuit.node(gid)
-            if gid in assignment.heavy:
-                lp.heavy_gates.append(gid)
-                senders: Dict[int, List[int]] = {}
-                local: List[int] = []
-                for pos, src in enumerate(node.inputs):
-                    src_node = circuit.node(src)
-                    if src_node.kind == CONST_KIND or owner[src] == owner[gid]:
-                        local.append(pos)
-                    else:
-                        senders.setdefault(owner[src], []).append(pos)
-                lp.summary_senders[gid] = senders
-                lp.summary_local[gid] = local
-                if senders:
-                    lp.has_summary_round = True
-            else:
-                lp.light_owned.setdefault(owner[gid], []).append(gid)
-                for src in node.inputs:
-                    src_node = circuit.node(src)
-                    if src_node.kind == CONST_KIND:
-                        continue
-                    if src in assignment.heavy:
-                        continue  # covered by the push rounds
-                    if owner[src] == owner[gid]:
-                        continue
-                    members = light_members.setdefault(
-                        (owner[src], owner[gid]), set()
+    # ---- heavy gates: summaries and pushes ---------------------------------
+    consumer = np.repeat(np.arange(count, dtype=np.int64), table.fan_in)
+    push_dests = (
+        _heavy_push_destinations(table, consumer, owner, heavy, n)
+        if heavy_ids
+        else {}
+    )
+    for gid in heavy_ids:
+        level = int(layer[gid])
+        gate_owner = owner_list[gid]
+        if level == 0:
+            push_recv = plan.layer0_push_recv
+        else:
+            lp = layer_plans[level - 1]
+            push_recv = lp.push_recv
+            lp.heavy_gates.append(gid)
+            senders: Dict[int, List[int]] = {}
+            local: List[int] = []
+            for pos, src in enumerate(table.inputs(gid).tolist()):
+                if const[src] or owner_list[src] == gate_owner:
+                    local.append(pos)
+                else:
+                    senders.setdefault(owner_list[src], []).append(pos)
+            lp.summary_senders[gid] = senders
+            lp.summary_local[gid] = local
+            if senders:
+                lp.has_summary_round = True
+                width = _summary_width(table, gid)
+                if width > bandwidth:
+                    raise ValueError(
+                        f"heavy gate {gid} sends {width}-bit summaries, "
+                        f"wider than bandwidth {bandwidth}"
                     )
-                    members.add(src)
-            if gid in push_dests:
-                for dest in push_dests[gid]:
-                    lp.push_recv[(owner[gid], dest)] = gid
-        lp.light_order = {
-            pair: sorted(members) for pair, members in light_members.items()
-        }
+        for dest in push_dests[gid]:
+            push_recv[(gate_owner, dest)] = gid
+
+    # ---- light gates and the light wires crossing owners -------------------
+    light_gates = np.flatnonzero(~heavy & (layer > 0))
+    owned_key = layer[light_gates].astype(np.int64) * n + owner[light_gates]
+    order = np.argsort(owned_key, kind="stable")
+    for key, gids in _split(owned_key[order], light_gates[order]):
+        layer_plans[key // n - 1].light_owned[key % n] = gids
+
+    src = table.flat
+    src_owner = owner[src]
+    dst_owner = owner[consumer]
+    crossing = (
+        (src_owner != dst_owner) & ~heavy[consumer] & ~heavy[src] & ~const[src]
+    )
+    # One int64 key per crossing wire, (layer, src owner, dst owner, src
+    # gate) from most to least significant; sorted and deduplicated.
+    wire_key = (
+        (layer[consumer[crossing]].astype(np.int64) * n + src_owner[crossing]) * n
+        + dst_owner[crossing]
+    ) * count + src[crossing]
+    wire_key = np.sort(wire_key)
+    if wire_key.size:
+        wire_key = wire_key[np.concatenate(([True], np.diff(wire_key) != 0))]
+    for key, gids in _split(wire_key // count, wire_key % count):
+        level, pair = divmod(key, n * n)
+        layer_plans[level - 1].light_order[divmod(pair, n)] = gids
+
+    for lp in layer_plans:
         lp.light_lengths = {
             pair: len(gids) for pair, gids in lp.light_order.items()
         }
@@ -217,8 +284,7 @@ def build_plan(
             lp.light_schedule = build_schedule(
                 payload_demand(lp.light_lengths, bandwidth), n
             )
-        plan.layer_plans.append(lp)
-
+    plan.layer_plans = layer_plans
     return plan
 
 
@@ -230,10 +296,10 @@ def execute_plan(ctx: Context, plan: SimulationPlan, my_inputs: Mapping[int, boo
     circuit = plan.circuit
     owner = plan.assignment.owner
     me = ctx.node_id
-    values: Dict[int, bool] = {}
-    for node in circuit.nodes:
-        if node.kind == CONST_KIND:
-            values[node.gate_id] = node.const_value
+    const_ids, const_values = circuit.constants()
+    values: Dict[int, bool] = dict(
+        zip(const_ids.tolist(), map(bool, const_values.tolist()))
+    )
     # Inputs we keep (already owned by us under the assignment).
     for gid, value in my_inputs.items():
         if owner[gid] == me:

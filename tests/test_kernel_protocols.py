@@ -405,10 +405,12 @@ class TestTriangleMMKernel:
 
     def test_simulation_compiled_once_for_all_trials(self, monkeypatch):
         # Every trial appends the same simulation rounds: the layer
-        # evaluators (and the gate table behind them) are built once per
-        # plan, never once per trial.
+        # evaluators are built once per plan and the circuit's CSR table
+        # once per circuit (by build_plan, then read from the cache),
+        # never once per trial.
         import repro.simulation.kernel as sim_kernel
         from repro.circuits.arithmetic import matmul_circuit_strassen
+        from repro.circuits.circuit import CircuitTable
         from repro.matmul.distributed import (
             matmul_input_partition,
             triangle_mm_kernel_program,
@@ -422,17 +424,21 @@ class TestTriangleMMKernel:
                 builds["evaluator"] += 1
                 super().__init__(*args)
 
-        class CountingTable(sim_kernel._GateTable):
-            def __init__(self, *args):
-                builds["table"] += 1
-                super().__init__(*args)
+        from_columns = CircuitTable.from_columns.__func__
+
+        def counting_from_columns(cls, *args):
+            builds["table"] += 1
+            return from_columns(cls, *args)
 
         monkeypatch.setattr(sim_kernel, "LayerEvaluator", CountingEvaluator)
-        monkeypatch.setattr(sim_kernel, "_GateTable", CountingTable)
+        monkeypatch.setattr(
+            CircuitTable, "from_columns", classmethod(counting_from_columns)
+        )
         size = 8
         plan = build_plan(
             matmul_circuit_strassen(size), size, matmul_input_partition(size), None
         )
+        assert builds == {"evaluator": 0, "table": 1}
         graph = random_graph(size, 0.5, random.Random(5))
         program = triangle_mm_kernel_program(graph, plan, trials=3)
         per_layer = sum(
