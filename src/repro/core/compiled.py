@@ -185,8 +185,9 @@ class LaneStructure:
     """One distinct bulk-round shape: who sends how much to whom.
 
     Built from ``(sender, dests-array)`` pairs in node order — the
-    recorder derives them from a round's fixed-width outboxes, the
-    kernel layer (:mod:`repro.core.kernels`) declares them directly.
+    recorder derives them from a round's fixed-width outboxes — or
+    from CSR arrays (:meth:`from_csr`), which is how the kernel layer
+    (:mod:`repro.core.kernels`) declares them.
     Structures are deduplicated at record time (phases repeat one shape
     for many rounds), so replay can skip the receiver-presence rewrite
     whenever consecutive rounds share a structure, and memory stays
@@ -201,12 +202,14 @@ class LaneStructure:
     __slots__ = (
         "width",
         "widths",
-        "entries",
+        "senders",
+        "counts",
         "sender_ids",
         "rows",
         "cols",
         "count",
-        "slices",
+        "_entries",
+        "_slices",
     )
 
     def __init__(
@@ -219,31 +222,66 @@ class LaneStructure:
         # schedule is actually recorded.
         import numpy as np
 
+        pairs = list(pairs)
+        dests_arrays = [dests for _, dests in pairs if dests.size]
+        self._fill(
+            width,
+            np.asarray([v for v, _ in pairs], dtype=np.intp),
+            np.asarray([dests.size for _, dests in pairs], dtype=np.intp),
+            (
+                np.concatenate(dests_arrays)
+                if dests_arrays
+                else np.empty(0, dtype=np.intp)
+            ),
+            widths,
+        )
+
+    @classmethod
+    def from_csr(cls, width: int, senders: Any, counts: Any, cols: Any, widths: Any = None) -> "LaneStructure":
+        """The structure of CSR arrays: ``senders[i]`` sends
+        ``counts[i]`` messages, to the next ``counts[i]`` entries of
+        ``cols``."""
+        struct = cls.__new__(cls)
+        struct._fill(width, senders, counts, cols, widths)
+        return struct
+
+    def _fill(self, width: int, senders: Any, counts: Any, cols: Any, widths: Any) -> None:
+        import numpy as np
+
         self.width = width
         self.widths = widths
-        # (sender, dests, size) per non-silent sender, in node order.
-        self.entries: Tuple[Tuple[int, Any, int], ...] = tuple(
-            (v, dests, dests.size) for v, dests in pairs
-        )
-        self.sender_ids: List[int] = [v for v, _ in pairs]
-        dests_arrays = [dests for _, dests in pairs if dests.size]
-        sizes = [dests.size for _, dests in pairs]
-        self.cols = (
-            np.concatenate(dests_arrays)
-            if dests_arrays
-            else np.empty(0, dtype=np.intp)
-        )
-        self.rows = np.repeat(
-            np.asarray(self.sender_ids, dtype=np.intp), sizes
-        )
-        self.count = int(self.cols.size)
-        # Flat [start, stop) per entry, for filling stacked value rows.
-        slices = []
-        offset = 0
-        for size in sizes:
-            slices.append((offset, offset + size))
-            offset += size
-        self.slices: Tuple[Tuple[int, int], ...] = tuple(slices)
+        self.senders = senders
+        self.counts = counts
+        self.sender_ids: List[int] = senders.tolist()
+        self.cols = cols
+        self.rows = np.repeat(senders, counts)
+        self.count = int(cols.size)
+        self._entries = None
+        self._slices = None
+
+    @property
+    def entries(self) -> Tuple[Tuple[int, Any, int], ...]:
+        """``(sender, dests, size)`` per sender, in node order."""
+        if self._entries is None:
+            import numpy as np
+
+            sizes = self.counts.tolist()
+            splits = np.split(self.cols, np.cumsum(self.counts)[:-1]) if sizes else []
+            self._entries = tuple(zip(self.sender_ids, splits, sizes))
+        return self._entries
+
+    @property
+    def slices(self) -> Tuple[Tuple[int, int], ...]:
+        """Flat ``[start, stop)`` per entry, for filling stacked value
+        rows."""
+        if self._slices is None:
+            slices = []
+            offset = 0
+            for size in self.counts.tolist():
+                slices.append((offset, offset + size))
+                offset += size
+            self._slices = tuple(slices)
+        return self._slices
 
     def bits(self) -> int:
         """Total bits one delivery of this structure costs."""

@@ -118,9 +118,9 @@ def program_digest(program: Any, network: Any) -> Optional[Tuple[str, str]]:
                     (
                         "u",
                         spec.width,
-                        tuple(int(v) for v, _ in spec.pairs),
-                        tuple(int(dests.size) for _, dests in spec.pairs),
-                        b"".join(dests.tobytes() for _, dests in spec.pairs),
+                        tuple(spec.senders.tolist()),
+                        tuple(spec.counts.tolist()),
+                        spec.dests.tobytes(),
                         None if spec.widths is None else spec.widths.tobytes(),
                     )
                 )
@@ -242,9 +242,7 @@ class ScheduleCache:
         struct_meta: List[Dict[str, Any]] = []
         for i, struct in enumerate(structs):
             arrays[f"s{i}_senders"] = np.asarray(struct.sender_ids, dtype=np.int64)
-            arrays[f"s{i}_sizes"] = np.asarray(
-                [size for _, _, size in struct.entries], dtype=np.int64
-            )
+            arrays[f"s{i}_sizes"] = np.asarray(struct.counts, dtype=np.int64)
             arrays[f"s{i}_cols"] = struct.cols.astype(np.int64, copy=False)
             meta = {"width": int(struct.width), "has_widths": struct.widths is not None}
             if struct.widths is not None:
@@ -313,11 +311,15 @@ def _decode_entry(
             sizes = payload[f"s{i}_sizes"]
             cols = payload[f"s{i}_cols"].astype(np.intp, copy=False)
             widths = payload[f"s{i}_widths"] if meta["has_widths"] else None
-            splits = np.split(cols, np.cumsum(sizes)[:-1]) if sizes.size else []
-            pairs = [
-                (int(sender), dests) for sender, dests in zip(senders, splits)
-            ]
-            structs.append(LaneStructure(int(meta["width"]), pairs, widths=widths))
+            structs.append(
+                LaneStructure.from_csr(
+                    int(meta["width"]),
+                    senders.astype(np.intp, copy=False),
+                    sizes.astype(np.intp, copy=False),
+                    cols,
+                    widths=widths,
+                )
+            )
     bcast_shapes = [
         (tuple(int(v) for v in ids), int(width))
         for ids, width in manifest["bcasts"]

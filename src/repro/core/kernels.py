@@ -192,12 +192,18 @@ class KernelBroadcastInbox:
 
 
 class UnicastRound:
-    """Declared structure + kernels of one fixed-width unicast round."""
+    """Declared structure + kernels of one fixed-width unicast round.
 
-    __slots__ = ("pairs", "width", "widths", "send", "recv")
+    The structure is CSR: ``senders`` (ascending, each non-silent)
+    sends ``counts[i]`` messages to the next ``counts[i]`` entries of
+    ``dests`` — read-only ``intp`` arrays, in structure order."""
 
-    def __init__(self, pairs, width, widths, send, recv) -> None:
-        self.pairs = pairs  # ((sender, dests-array), ...) node order
+    __slots__ = ("senders", "counts", "dests", "width", "widths", "send", "recv")
+
+    def __init__(self, senders, counts, dests, width, widths, send, recv) -> None:
+        self.senders = senders
+        self.counts = counts
+        self.dests = dests
         self.width = width  # max width (selects storage dtype)
         self.widths = widths  # per-message widths, or None if uniform
         self.send = send
@@ -259,7 +265,7 @@ class KernelProgram:
         shapes = []
         for rnd in self.rounds:
             if isinstance(rnd, UnicastRound):
-                count = sum(int(dests.size) for _, dests in rnd.pairs)
+                count = int(rnd.dests.size)
                 if rnd.widths is not None:
                     total = int(rnd.widths.sum())
                 else:
@@ -271,19 +277,7 @@ class KernelProgram:
         return shapes
 
 
-def _as_dests(dests, sender: int, n: int) -> np.ndarray:
-    arr = np.asarray(dests, dtype=np.intp).reshape(-1).copy()
-    if arr.size:
-        if (arr == sender).any():
-            raise TopologyError(f"node {sender} sent a message to itself")
-        if int(arr.min()) < 0 or int(arr.max()) >= n:
-            raise TopologyError(
-                f"node {sender} sent to an out-of-range destination"
-            )
-        if np.unique(arr).size != arr.size:
-            raise ProtocolError(
-                f"node {sender} listed a destination twice in a kernel round"
-            )
+def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
@@ -361,21 +355,90 @@ class KernelBuilder:
         sender with its destination vector (any order; normalized to
         ascending sender); all messages are ``width`` bits, or pass a
         flat per-message ``widths`` vector (structure order) for
-        heterogeneous rounds."""
-        norm: List[Tuple[int, np.ndarray]] = []
-        seen = set()
-        for sender, dests in pairs:
-            sender = int(sender)
-            if sender in seen:
+        heterogeneous rounds.  The pairs become the CSR arrays of
+        :meth:`unicast_csr`, which validates them."""
+        pairs = sorted(
+            ((int(sender), np.asarray(dests, dtype=np.intp).reshape(-1))
+             for sender, dests in pairs),
+            key=lambda pair: pair[0],
+        )
+        self.unicast_csr(
+            [sender for sender, _ in pairs],
+            [dests.size for _, dests in pairs],
+            (
+                np.concatenate([dests for _, dests in pairs])
+                if pairs
+                else np.empty(0, dtype=np.intp)
+            ),
+            width, send, recv, widths,
+        )
+
+    def unicast_csr(
+        self,
+        senders: Sequence[int],
+        counts: Sequence[int],
+        dests: Sequence[int],
+        width: int,
+        send: Optional[Callable],
+        recv: Optional[Callable] = None,
+        widths: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Declare one unicast round in CSR form: ``senders`` ascending,
+        sender ``senders[i]`` sending ``counts[i]`` messages to the next
+        ``counts[i]`` entries of ``dests``.  Structure order is ``dests``
+        order; ``width`` / ``widths`` as in :meth:`unicast_round`.
+
+        One vectorized pass over all messages rejects a repeated or
+        descending sender, a self-send, an out-of-range node and a
+        destination listed twice by one sender; zero-count senders are
+        dropped."""
+        n = self.n
+        senders = np.array(senders, dtype=np.intp).reshape(-1)
+        counts = np.array(counts, dtype=np.intp).reshape(-1)
+        dests = np.array(dests, dtype=np.intp).reshape(-1)
+        if counts.size != senders.size or (counts.size and int(counts.min()) < 0):
+            raise ProtocolError(
+                f"{counts.size} message counts for {senders.size} senders"
+            )
+        if int(counts.sum()) != dests.size:
+            raise ProtocolError(
+                f"message counts total {int(counts.sum())}, "
+                f"{dests.size} destinations given"
+            )
+        if senders.size > 1:
+            step = np.diff(senders)
+            if not (step > 0).all():
+                i = int(np.flatnonzero(step <= 0)[0])
+                if step[i] == 0:
+                    raise ProtocolError(
+                        f"node {senders[i]} appears twice in one kernel round"
+                    )
+                raise ProtocolError("kernel round senders must be ascending")
+        if senders.size and (int(senders[0]) < 0 or int(senders[-1]) >= n):
+            raise TopologyError("kernel round sender out of range")
+        rows = np.repeat(senders, counts)
+        bad = rows == dests
+        if bad.any():
+            raise TopologyError(
+                f"node {rows[np.argmax(bad)]} sent a message to itself"
+            )
+        bad = (dests < 0) | (dests >= n)
+        if bad.any():
+            raise TopologyError(
+                f"node {rows[np.argmax(bad)]} sent to an out-of-range destination"
+            )
+        if dests.size > 1:
+            links = np.sort(rows * n + dests)
+            bad = links[1:] == links[:-1]
+            if bad.any():
                 raise ProtocolError(
-                    f"node {sender} appears twice in one kernel round"
+                    f"node {links[np.argmax(bad)] // n} listed a destination "
+                    "twice in a kernel round"
                 )
-            seen.add(sender)
-            arr = _as_dests(dests, sender, self.n)
-            if arr.size:
-                norm.append((sender, arr))
-        norm.sort(key=lambda pair: pair[0])
-        count = sum(arr.size for _, arr in norm)
+        if counts.size and not counts.all():
+            senders = senders[counts > 0]
+            counts = counts[counts > 0]
+        count = dests.size
         widths_arr = None
         if widths is not None:
             widths_arr = np.asarray(widths, dtype=np.int64).reshape(-1).copy()
@@ -400,7 +463,8 @@ class KernelBuilder:
             raise ValueError("fixed-width messages need width >= 1 bit")
         self.rounds.append(
             UnicastRound(
-                tuple(norm), width, widths_arr, self._wrap_send(send), recv
+                _frozen(senders), _frozen(counts), _frozen(dests),
+                width, widths_arr, self._wrap_send(send), recv,
             )
         )
 
@@ -507,6 +571,7 @@ def compile_program(program: KernelProgram, network) -> CompiledSchedule:
     mode = network.mode
     bandwidth = network.bandwidth
     allowed = getattr(network, "_allowed", None)
+    adjacency = None
     rounds: List[Tuple[int, Any, int]] = []
     execs: List[_ExecRound] = []
     # Deduplicate identical round shapes into one shared identity
@@ -523,15 +588,19 @@ def compile_program(program: KernelProgram, network) -> CompiledSchedule:
                 raise ProtocolError(
                     f"kernel round {r} unicasts in a broadcast network"
                 )
-            if allowed is not None:
-                for sender, dests in spec.pairs:
-                    ok = allowed[sender]
-                    for dest in dests:
-                        if dest not in ok:
-                            raise TopologyError(
-                                f"node {sender} sent to non-neighbour "
-                                f"{int(dest)} in CONGEST"
-                            )
+            if allowed is not None and spec.dests.size:
+                if adjacency is None:
+                    adjacency = np.zeros((network.n, network.n), dtype=bool)
+                    for v, neighbours in enumerate(allowed):
+                        adjacency[v, list(neighbours)] = True
+                rows = np.repeat(spec.senders, spec.counts)
+                bad = ~adjacency[rows, spec.dests]
+                if bad.any():
+                    j = int(np.argmax(bad))
+                    raise TopologyError(
+                        f"node {rows[j]} sent to non-neighbour "
+                        f"{spec.dests[j]} in CONGEST"
+                    )
             max_width = (
                 spec.width if spec.widths is None else int(spec.widths.max())
             )
@@ -542,15 +611,16 @@ def compile_program(program: KernelProgram, network) -> CompiledSchedule:
                 )
             key = (
                 spec.width,
-                tuple(v for v, _ in spec.pairs),
-                tuple(dests.size for _, dests in spec.pairs),
-                b"".join(dests.tobytes() for _, dests in spec.pairs),
+                spec.senders.tobytes(),
+                spec.counts.tobytes(),
+                spec.dests.tobytes(),
                 None if spec.widths is None else spec.widths.tobytes(),
             )
             struct = structs.get(key)
             if struct is None:
-                struct = structs[key] = LaneStructure(
-                    spec.width, spec.pairs, widths=spec.widths
+                struct = structs[key] = LaneStructure.from_csr(
+                    spec.width, spec.senders, spec.counts, spec.dests,
+                    widths=spec.widths,
                 )
             bits = struct.bits()
             widths_u64 = (
@@ -628,14 +698,11 @@ def rebuild_kernel_schedule(program: KernelProgram, network, loaded) -> Optional
             struct = payload
             pair_key = (id(struct), id(spec))
             if pair_key not in verified:
-                spec_cols = b"".join(dests.tobytes() for _, dests in spec.pairs)
                 if (
                     struct.width != spec.width
-                    or tuple(struct.sender_ids)
-                    != tuple(int(v) for v, _ in spec.pairs)
-                    or tuple(size for _, _, size in struct.entries)
-                    != tuple(int(dests.size) for _, dests in spec.pairs)
-                    or struct.cols.tobytes() != spec_cols
+                    or not np.array_equal(struct.senders, spec.senders)
+                    or not np.array_equal(struct.counts, spec.counts)
+                    or not np.array_equal(struct.cols, spec.dests)
                 ):
                     return None
                 if (struct.widths is None) != (spec.widths is None):

@@ -352,6 +352,12 @@ def _require_bandwidth(builder) -> int:
     return builder.bandwidth
 
 
+def _missed(missing, heard):
+    """Accumulate the streams that lost a frame this round (``heard``
+    is the round's presence per message, in structure order)."""
+    return ~heard if missing is None else missing | ~heard
+
+
 def kernel_transmit_unicast(builder, links, max_bits: int, get_payloads, set_result) -> None:
     """Append one unicast transmit phase to ``builder``.
 
@@ -362,7 +368,9 @@ def kernel_transmit_unicast(builder, links, max_bits: int, get_payloads, set_res
     frames have all been delivered, ``set_result(state, received)`` is
     called with ``received[k][v]`` the ``{src: Bits}`` dict node ``v``
     reassembled in instance ``k`` — the same value the generator
-    :func:`transmit_unicast` returns.
+    :func:`transmit_unicast` returns.  A link that missed a frame (a
+    dropped, delayed or crashed sender's) is left out, as
+    :func:`_streams` leaves it out.
     """
     import numpy as np
 
@@ -390,7 +398,7 @@ def kernel_transmit_unicast(builder, links, max_bits: int, get_payloads, set_res
                 frames[:, k, j] = _frame_payload(
                     payloads[link], max_bits, rounds, bandwidth
                 )
-        state[key] = {"frames": frames, "got": []}
+        state[key] = {"frames": frames, "got": [], "missing": None}
 
     builder.before(start)
     for r in range(rounds):
@@ -399,16 +407,24 @@ def kernel_transmit_unicast(builder, links, max_bits: int, get_payloads, set_res
             return state[key]["frames"][_r]
 
         def recv(state, inbox):
-            state[key]["got"].append(inbox.gather())
+            phase = state[key]
+            phase["got"].append(inbox.gather())
+            heard = inbox.present[inbox.rows, inbox.cols]
+            if not heard.all():
+                phase["missing"] = _missed(phase["missing"], heard)
 
         builder.unicast_round(pairs, bandwidth, send, recv)
 
     def done(state):
+        phase = state.pop(key)
         # A phase lasts at least one round, so ``got`` is never empty;
         # streams[k][j] is link j's frame uints in instance k.
-        streams = np.stack(state.pop(key)["got"], axis=-1).tolist()
+        streams = np.stack(phase["got"], axis=-1).tolist()
+        missing = phase["missing"]
         received = [[dict() for _ in range(builder.n)] for _ in streams]
         for j, (src, dst) in enumerate(flat_links):
+            if missing is not None and missing[j]:
+                continue
             for k, frames in enumerate(streams):
                 received[k][dst][src] = _parse_concat(frames[j], bandwidth, max_bits)
         set_result(state, received)
@@ -424,7 +440,9 @@ def kernel_transmit_broadcast(builder, writers, max_bits: int, get_payloads, set
     instance; ``set_result(state, received)`` gets ``received[k][v]``
     as the ``{writer: Bits}`` dict node ``v`` hears (its own broadcast
     excluded, as on the engine) — the generator
-    :func:`transmit_broadcast` return value.
+    :func:`transmit_broadcast` return value.  A writer that missed a
+    frame (dropped, delayed or crashed) is left out, as :func:`_streams`
+    leaves it out.
     """
     import numpy as np
 
@@ -447,7 +465,7 @@ def kernel_transmit_broadcast(builder, writers, max_bits: int, get_payloads, set
                 frames[:, k, j] = _frame_payload(
                     payloads[writer], max_bits, rounds, bandwidth
                 )
-        state[key] = {"frames": frames, "got": []}
+        state[key] = {"frames": frames, "got": [], "missing": None}
 
     builder.before(start)
     for r in range(rounds):
@@ -456,22 +474,32 @@ def kernel_transmit_broadcast(builder, writers, max_bits: int, get_payloads, set
             return state[key]["frames"][_r]
 
         def recv(state, inbox):
-            state[key]["got"].append(inbox.gather())
+            phase = state[key]
+            phase["got"].append(inbox.gather())
+            heard = inbox.present[inbox.writers]
+            if not heard.all():
+                phase["missing"] = _missed(phase["missing"], heard)
 
         builder.broadcast_round(writer_list, bandwidth, send, recv)
 
     def done(state):
+        phase = state.pop(key)
         # streams[k][j] is writer j's frame uints in instance k.
-        streams = np.stack(state.pop(key)["got"], axis=-1).tolist()
+        streams = np.stack(phase["got"], axis=-1).tolist()
+        missing = phase["missing"]
+        complete = [
+            (j, w) for j, w in enumerate(writer_list)
+            if missing is None or not missing[j]
+        ]
         payloads = {}
-        for j, writer in enumerate(writer_list):
+        for j, writer in complete:
             for k, frames in enumerate(streams):
                 payloads[(k, writer)] = _parse_concat(frames[j], bandwidth, max_bits)
         received = [
             [
                 {
                     w: payloads[(k, w)]
-                    for w in writer_list
+                    for _, w in complete
                     if w != v
                 }
                 for v in range(builder.n)

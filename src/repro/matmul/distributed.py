@@ -48,7 +48,7 @@ from repro.core.compiled import declare_schedule_digest, mark_oblivious
 from repro.core.network import Mode, Network, RunResult
 from repro.core.phases import transmit_unicast
 from repro.graphs.graph import Graph
-from repro.routing.lenzen import payload_demand, route_payloads
+from repro.routing.lenzen import PayloadOrder, route_payloads
 from repro.routing.schedule import build_schedule
 from repro.simulation.protocol import SimulationPlan, build_plan, execute_plan
 
@@ -79,19 +79,18 @@ class TriangleMMOutcome:
     trials: int
 
 
-def _output_routing_plan(
-    plan: SimulationPlan, size: int
-) -> Tuple[Dict[Tuple[int, int], List[int]], Dict[Tuple[int, int], int]]:
+def _output_routing_plan(plan: SimulationPlan, size: int) -> PayloadOrder:
     """Route output gate C[i][j] from its simulation owner to player i."""
-    order: Dict[Tuple[int, int], List[int]] = {}
-    outputs = plan.circuit.outputs
-    for position, gid in enumerate(outputs):
-        row = position // size
-        src = plan.assignment.owner[gid]
-        if src != row:
-            order.setdefault((src, row), []).append(gid)
-    lengths = {pair: len(gids) for pair, gids in order.items()}
-    return order, lengths
+    import numpy as np
+
+    owner = plan.assignment.owner
+    outputs = np.asarray(plan.circuit.outputs, dtype=np.int64)
+    row = np.arange(outputs.size, dtype=np.int64) // size
+    src = np.asarray([owner[gid] for gid in plan.circuit.outputs], dtype=np.int64)
+    moved = src != row
+    key = src[moved] * size + row[moved]
+    order = np.argsort(key, kind="stable")
+    return PayloadOrder.from_keys(key[order], outputs[moved][order], size)
 
 
 def triangle_mm_program(
@@ -104,10 +103,9 @@ def triangle_mm_program(
     size = graph.n
     circuit = plan.circuit
     input_ids = circuit.input_ids
-    out_order, out_lengths = _output_routing_plan(plan, size)
-    out_schedule = build_schedule(
-        payload_demand(out_lengths, plan.bandwidth), size
-    )
+    out_routing = _output_routing_plan(plan, size)
+    out_order, out_lengths = out_routing.as_dict(), out_routing.lengths()
+    out_schedule = build_schedule(out_routing.demand(plan.bandwidth), size)
     position_of = {gid: pos for pos, gid in enumerate(circuit.outputs)}
 
     def program(ctx):
@@ -207,10 +205,8 @@ def triangle_mm_kernel_program(
     size = graph.n
     circuit = plan.circuit
     input_ids = circuit.input_ids
-    out_order, out_lengths = _output_routing_plan(plan, size)
-    out_schedule = build_schedule(
-        payload_demand(out_lengths, plan.bandwidth), size
-    )
+    out_routing = _output_routing_plan(plan, size)
+    out_schedule = build_schedule(out_routing.demand(plan.bandwidth), size)
     builder = KernelBuilder(size, Mode.UNICAST, bandwidth=plan.bandwidth)
     # Compiled once; every trial appends the same rounds from it.
     kplan = KernelPlan(plan)
@@ -243,8 +239,12 @@ def triangle_mm_kernel_program(
 
     builder.on_init(init)
 
-    out_payloads = KernelPayloads(out_schedule, out_lengths, plan.bandwidth)
-    get_out, put_out = payload_bridge(out_order, out_payloads)
+    out_payloads = KernelPayloads(
+        out_schedule,
+        (out_routing.src, out_routing.dst, out_routing.sizes),
+        plan.bandwidth,
+    )
+    get_out, put_out = payload_bridge(out_routing, out_payloads)
 
     def set_out(state, bits):
         # Player i reads C[i][j] as delivered; then score this trial's

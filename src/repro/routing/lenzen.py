@@ -32,11 +32,17 @@ from repro.core.bits import Bits
 from repro.core.compiled import declare_schedule_digest, mark_oblivious
 from repro.core.kernels import pack_rows, unpack_rows
 from repro.core.network import Context, Outbox, inbox_uints
-from repro.routing.schedule import FrameRef, RoutingSchedule, build_schedule
+from repro.routing.schedule import (
+    FrameRef,
+    RoutingSchedule,
+    build_schedule,
+    demand_arrays,
+)
 
 __all__ = [
     "route_frames",
     "payload_demand",
+    "PayloadOrder",
     "route_payloads",
     "route_program",
     "KernelRoute",
@@ -166,6 +172,61 @@ def payload_demand(
     }
 
 
+class PayloadOrder:
+    """Public per-pair payload contents as sorted CSR arrays.
+
+    Pair ``i`` is ``(src[i], dst[i])`` — ascending, each named once,
+    none empty — and its payload carries ``items[starts[i]:starts[i+1]]``
+    in that order (for Theorem 2, the gate ids whose values it ships).
+    :meth:`as_dict` and :meth:`lengths` are the ``{(src, dst): ...}``
+    forms :func:`route_payloads` takes."""
+
+    __slots__ = ("src", "dst", "starts", "items")
+
+    def __init__(self, src, dst, starts, items) -> None:
+        self.src = src
+        self.dst = dst
+        self.starts = starts
+        self.items = items
+
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, items: np.ndarray, n: int) -> "PayloadOrder":
+        """Group ``items`` by their sorted pair keys ``src·n + dst``."""
+        keys = np.asarray(keys, dtype=np.int64)
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        pair = keys[first]
+        return cls(
+            pair // n,
+            pair % n,
+            np.append(first, keys.size),
+            np.asarray(items, dtype=np.int64),
+        )
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.starts)
+
+    def pairs(self) -> List[Tuple[int, int]]:
+        return list(zip(self.src.tolist(), self.dst.tolist()))
+
+    def as_dict(self) -> Dict[Tuple[int, int], List[int]]:
+        items = self.items.tolist()
+        bounds = self.starts.tolist()
+        return {
+            pair: items[lo:hi]
+            for pair, lo, hi in zip(self.pairs(), bounds, bounds[1:])
+        }
+
+    def lengths(self) -> Dict[Tuple[int, int], int]:
+        return dict(zip(self.pairs(), self.sizes.tolist()))
+
+    def demand(self, frame_size: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(src, dst, frames)`` of :func:`payload_demand`, as arrays."""
+        if frame_size < 1:
+            raise ValueError("frame size must be positive")
+        return self.src, self.dst, -(-self.sizes // frame_size)
+
+
 def route_payloads(
     ctx: Context,
     lengths: Mapping[Tuple[int, int], int],
@@ -220,13 +281,14 @@ class KernelRoute:
     """``schedule`` flattened once for kernel rounds.
 
     Every frame gets a dense slot (first-appearance order) in a
-    ``K × num_frames`` frame-value matrix; each round is its
-    ``(sender, dests)`` pairs in builder structure order (ascending
-    sender, that sender's send-plan order) plus the slot vector those
-    hops carry, and ``final_dest[ref]`` names the node a frame lands on.
-    Frame values are ``uint64``, or Python ints (``object``) past 63
-    bits.  Build it once and hand it to :func:`kernel_route_frames` as
-    often as the phase repeats.
+    ``K × num_frames`` frame-value matrix — ``frame_slot[f]`` for frame
+    ``f`` of the schedule's frame table; each round is its CSR
+    ``(senders, counts, dests)`` in builder structure order (ascending
+    sender, that sender's hops in frame order) plus the slot vector
+    those hops carry.  A frame lands on its own destination.  Frame
+    values are ``uint64``, or Python ints (``object``) past 63 bits.
+    Build it once and hand it to :func:`kernel_route_frames` as often
+    as the phase repeats.
     """
 
     def __init__(self, schedule: RoutingSchedule, frame_size: int) -> None:
@@ -234,25 +296,34 @@ class KernelRoute:
             raise ValueError("frame size must be positive")
         self.frame_size = frame_size
         self.dtype = object if frame_size > 63 else np.uint64
-        self.slot_of: Dict[FrameRef, int] = {}
-        self.final_dest: Dict[FrameRef, int] = {}
-        self.rounds: List[Tuple[list, np.ndarray]] = []
-        for r in range(schedule.num_rounds):
-            sends = schedule.send_plan[r]
-            recv = schedule.recv_plan[r]
-            pairs = []
-            slots = []
-            for sender in sorted(sends):
-                dests = []
-                for recipient, frame in sends[sender]:
-                    slot = self.slot_of.setdefault(frame, len(self.slot_of))
-                    dests.append(recipient)
-                    slots.append(slot)
-                    if recv[(sender, recipient)][1]:
-                        self.final_dest[frame] = recipient
-                pairs.append((sender, dests))
-            self.rounds.append((pairs, np.asarray(slots, dtype=np.intp)))
-        self.num_frames = len(self.slot_of)
+        # Hops are sorted by (round, frame); a stable sort on (round,
+        # sender) gives structure order.
+        order = np.lexsort((schedule.hop_sender, schedule.hop_round))
+        hop_frame = schedule.hop_frame[order]
+        senders = schedule.hop_sender[order].astype(np.intp)
+        dests = schedule.hop_recipient[order].astype(np.intp)
+        hop_round = schedule.hop_round[order]
+        # A frame's slot ranks its first hop in structure order.
+        by_frame = np.argsort(hop_frame, kind="stable")
+        head = np.flatnonzero(np.diff(hop_frame[by_frame], prepend=-1))
+        frames, first = hop_frame[by_frame[head]], by_frame[head]
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(first.size, dtype=np.int64)
+        self.frame_slot = np.full(schedule.frame_src.size, -1, dtype=np.int64)
+        self.frame_slot[frames] = rank
+        self.num_frames = int(frames.size)
+        slots = self.frame_slot[hop_frame].astype(np.intp)
+        bounds = np.searchsorted(hop_round, np.arange(schedule.num_rounds + 1))
+        self.rounds: List[Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = []
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            round_senders = senders[lo:hi]
+            first_hop = np.flatnonzero(np.diff(round_senders, prepend=-1))
+            csr = (
+                round_senders[first_hop],
+                np.diff(np.append(first_hop, hi - lo)),
+                dests[lo:hi],
+            )
+            self.rounds.append((csr, slots[lo:hi]))
 
 
 def kernel_route_frames(builder, route: KernelRoute, get_frames, set_result) -> None:
@@ -276,7 +347,7 @@ def kernel_route_frames(builder, route: KernelRoute, get_frames, set_result) -> 
         state[key] = values
 
     builder.before(start)
-    for pairs, slots in route.rounds:
+    for (senders, counts, dests), slots in route.rounds:
 
         def send(state, _slots=slots):
             return state[key][:, _slots]
@@ -287,7 +358,7 @@ def kernel_route_frames(builder, route: KernelRoute, get_frames, set_result) -> 
             # keeps the data flow on the wire).
             state[key][:, _slots] = inbox.gather()
 
-        builder.unicast_round(pairs, route.frame_size, send, recv)
+        builder.unicast_csr(senders, counts, dests, route.frame_size, send, recv)
 
     def done(state):
         set_result(state, state.pop(key))
@@ -332,41 +403,56 @@ def _unpack_frames(values: np.ndarray, frame_size: int) -> np.ndarray:
 class KernelPayloads:
     """Public payload ``lengths`` laid out once over ``schedule``'s frames.
 
-    ``pairs`` (ascending, positive lengths only) fix the *payload-bit
-    order* every caller speaks: pair after pair, each payload's bits in
-    order.  A payload is chunked into ``frame_size``-bit frames, first
-    bit most significant, the last frame zero-padded — the wire format
-    of :func:`route_payloads`.  ``positions`` maps each payload bit to
-    its place in the routed frames' packed bit buffer, so packing and
-    unpacking are one scatter and one gather (frame ``f`` occupies bits
-    ``[f·frame_size, (f+1)·frame_size)`` of that buffer).
+    The pairs (``src`` / ``dst`` / ``sizes``: ascending, positive
+    lengths only) fix the *payload-bit order* every caller speaks: pair
+    after pair, each payload's bits in order.  A payload is chunked into
+    ``frame_size``-bit frames, first bit most significant, the last
+    frame zero-padded — the wire format of :func:`route_payloads`.
+    ``positions`` maps each payload bit to its place in the routed
+    frames' packed bit buffer, so packing and unpacking are one scatter
+    and one gather (frame ``f`` occupies bits ``[f·frame_size,
+    (f+1)·frame_size)`` of that buffer).  ``lengths`` maps ``(src,
+    dst)`` to bits, or is a ``(src, dst, bits)`` triple of arrays.
     """
 
     def __init__(
         self,
         schedule: RoutingSchedule,
-        lengths: Mapping[Tuple[int, int], int],
+        lengths,
         frame_size: int,
     ) -> None:
         self.route = KernelRoute(schedule, frame_size)
-        self.pairs = sorted(pair for pair, bits in lengths.items() if bits > 0)
-        self.lengths = {pair: int(lengths[pair]) for pair in self.pairs}
-        sizes = np.asarray([self.lengths[pair] for pair in self.pairs], dtype=np.int64)
+        src, dst, sizes = demand_arrays(lengths)
+        keep = sizes > 0
+        self.src, self.dst, self.sizes = src[keep], dst[keep], sizes[keep]
+        sizes = self.sizes
         counts = -(-sizes // frame_size)
-        try:
-            slots = np.fromiter(
-                (
-                    self.route.slot_of[(src, dst, idx)]
-                    for (src, dst), count in zip(self.pairs, counts.tolist())
-                    for idx in range(count)
-                ),
-                dtype=np.int64,
-                count=int(counts.sum()),
-            )
-        except KeyError as exc:
+        frame_start = np.zeros(sizes.size, dtype=np.int64)
+        np.cumsum(counts[:-1], out=frame_start[1:])
+        total = int(counts.sum())
+        # Find each payload frame (pair, idx) in the schedule's sorted
+        # frame table.
+        idx = np.arange(total, dtype=np.int64) - np.repeat(frame_start, counts)
+        frame_src = np.repeat(self.src, counts)
+        frame_dst = np.repeat(self.dst, counts)
+        n = schedule.n
+        span = int(max(idx.max(initial=0), schedule.frame_idx.max(initial=0))) + 1
+        routed = (schedule.frame_src * n + schedule.frame_dst) * span + schedule.frame_idx
+        wanted = (frame_src * n + frame_dst) * span + idx
+        where = np.searchsorted(routed, wanted)
+        found = (
+            (frame_src >= 0) & (frame_src < n) & (frame_dst >= 0) & (frame_dst < n)
+            & (where < routed.size)
+        )
+        found[found] = routed[where[found]] == wanted[found]
+        if not found.all():
+            f = int(np.argmin(found))
             raise ValueError(
-                f"schedule does not route frame {exc.args[0]} of the payloads"
-            ) from None
+                f"schedule does not route frame "
+                f"{(int(frame_src[f]), int(frame_dst[f]), int(idx[f]))} "
+                f"of the payloads"
+            )
+        slots = self.route.frame_slot[where]
         if slots.size != self.route.num_frames:
             raise ValueError(
                 f"schedule routes {self.route.num_frames} frames, "
@@ -376,8 +462,6 @@ class KernelPayloads:
         # b // frame_size.
         pair_start = np.zeros(sizes.size, dtype=np.int64)
         np.cumsum(sizes[:-1], out=pair_start[1:])
-        frame_start = np.zeros(sizes.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=frame_start[1:])
         bit = np.arange(int(sizes.sum()), dtype=np.int64)
         bit -= np.repeat(pair_start, sizes)
         frame = np.repeat(frame_start, sizes) + bit // frame_size
@@ -425,6 +509,12 @@ def route_kernel_program(schedule: RoutingSchedule, frame_size: int):
 
     builder = KernelBuilder(schedule.n, Mode.UNICAST)
     route = KernelRoute(schedule, frame_size)
+    refs = zip(
+        schedule.frame_src.tolist(),
+        schedule.frame_dst.tolist(),
+        schedule.frame_idx.tolist(),
+    )
+    slot_of = dict(zip(refs, route.frame_slot.tolist()))
 
     def init(state, kctx):
         state["inputs"] = kctx.inputs_list
@@ -442,17 +532,16 @@ def route_kernel_program(schedule: RoutingSchedule, frame_size: int):
                             f"frame {ref} has {len(frame)} bits, "
                             f"expected {frame_size}"
                         )
-                    values[k, route.slot_of[ref]] = frame.to_uint()
+                    values[k, slot_of[ref]] = frame.to_uint()
         return values
 
     def set_result(state, values):
         delivered = [
             [dict() for _ in range(schedule.n)] for _ in range(values.shape[0])
         ]
-        for ref, dest in route.final_dest.items():
-            slot = route.slot_of[ref]
+        for ref, slot in slot_of.items():
             for k, per_node in enumerate(delivered):
-                per_node[dest][ref] = Bits(int(values[k, slot]), frame_size)
+                per_node[ref[1]][ref] = Bits(int(values[k, slot]), frame_size)
         state["out"] = delivered
 
     kernel_route_frames(builder, route, get_frames, set_result)

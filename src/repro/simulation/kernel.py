@@ -44,7 +44,6 @@ delivered frames unpacked straight back into the value matrix
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -70,7 +69,7 @@ from repro.circuits.gates import (
 )
 from repro.core.kernels import KernelBuilder
 from repro.core.network import Mode
-from repro.routing.lenzen import KernelPayloads, kernel_route_payloads
+from repro.routing.lenzen import KernelPayloads, PayloadOrder, kernel_route_payloads
 from repro.simulation.protocol import SimulationPlan
 
 __all__ = [
@@ -241,26 +240,30 @@ class LayerEvaluator:
             vals[:, gid] = vector_compute(gate, vals[:, cols])
 
 
-def payload_bridge(order: Dict[Pair, List[int]], payloads: KernelPayloads):
+def payload_bridge(order: PayloadOrder, payloads: KernelPayloads):
     """(get_bits, set_bits) callbacks for
     :func:`~repro.routing.lenzen.kernel_route_payloads` that move the
-    gate values named by ``order`` (gid lists per (src, dst) pair)
-    between the value matrix ``state[VALS_KEY]`` and the routed payload
-    bits.
-    Every pair's gid list must be exactly as long as ``payloads`` says —
+    gate values named by ``order`` between the value matrix
+    ``state[VALS_KEY]`` and the routed payload bits: both lay the pairs
+    out in ascending order, so ``order.items`` already is the
+    payload-bit order.
+    Every pair's gid run must be exactly as long as ``payloads`` says —
     checked here, once, not per execution."""
-    for pair, gids in order.items():
-        expected = payloads.lengths.get(pair, 0)
-        if len(gids) != expected:
-            raise ValueError(
-                f"payload {pair} carries {len(gids)} gate values, "
-                f"plan says {expected}"
-            )
-    cols = np.fromiter(
-        chain.from_iterable(order[pair] for pair in payloads.pairs),
-        dtype=np.intp,
-        count=payloads.total_bits,
-    )
+    if not (
+        np.array_equal(order.src, payloads.src)
+        and np.array_equal(order.dst, payloads.dst)
+        and np.array_equal(order.sizes, payloads.sizes)
+    ):
+        have = order.lengths()
+        want = dict(
+            zip(zip(payloads.src.tolist(), payloads.dst.tolist()), payloads.sizes.tolist())
+        )
+        pair = min(p for p in have.keys() | want.keys() if have.get(p, 0) != want.get(p, 0))
+        raise ValueError(
+            f"payload {pair} carries {have.get(pair, 0)} gate values, "
+            f"plan says {want.get(pair, 0)}"
+        )
+    cols = order.items.astype(np.intp)
 
     def get_bits(state):
         return state[VALS_KEY][:, cols]
@@ -282,9 +285,9 @@ def _push_spec(push_recv: Dict[Pair, int]):
     return sorted(by_src.items()), np.asarray(gid_cols, dtype=np.intp)
 
 
-def _routed(order, lengths, schedule, bandwidth):
+def _routed(order: PayloadOrder, schedule, bandwidth):
     """(payload layout, get_bits, set_bits) of one routed phase."""
-    payloads = KernelPayloads(schedule, lengths, bandwidth)
+    payloads = KernelPayloads(schedule, (order.src, order.dst, order.sizes), bandwidth)
     return (payloads, *payload_bridge(order, payloads))
 
 
@@ -316,13 +319,15 @@ class _LayerKernel:
             self.summary = (sorted(by_src.items()), widths, parts)
         self.push = _push_spec(lp.push_recv) if lp.push_recv else None
         self.light_route = None
-        if lp.light_lengths:
+        if lp.light_wires.items.size:
             self.light_route = _routed(
-                lp.light_order, lp.light_lengths, lp.light_schedule,
-                plan.bandwidth,
+                lp.light_wires, lp.light_schedule, plan.bandwidth
             )
-        light_gids = list(chain.from_iterable(lp.light_owned.values()))
-        self.light = LayerEvaluator(table, light_gids) if light_gids else None
+        self.light = (
+            LayerEvaluator(table, lp.light_owned_gids)
+            if lp.light_owned_gids.size
+            else None
+        )
 
 
 class KernelPlan:
@@ -338,10 +343,9 @@ class KernelPlan:
         self.plan = plan
         self.const_cols, self.const_vals = constant_columns(plan.circuit)
         self.input_route = None
-        if plan.input_lengths:
+        if plan.input_wires.items.size:
             self.input_route = _routed(
-                plan.input_order, plan.input_lengths, plan.input_schedule,
-                plan.bandwidth,
+                plan.input_wires, plan.input_schedule, plan.bandwidth
             )
         self.layer0_push = (
             _push_spec(plan.layer0_push_recv) if plan.layer0_push_recv else None

@@ -44,7 +44,7 @@ from repro.circuits.circuit import Circuit, CircuitTable
 from repro.core.bits import Bits
 from repro.core.compiled import declare_schedule_digest, mark_oblivious
 from repro.core.network import Context, Mode, Network, Outbox, RunResult
-from repro.routing.lenzen import payload_demand, route_payloads
+from repro.routing.lenzen import PayloadOrder, payload_demand, route_payloads
 from repro.routing.schedule import RoutingSchedule, build_schedule
 from repro.simulation.assignment import GateAssignment, assign_gates
 
@@ -59,9 +59,39 @@ __all__ = [
 Pair = Tuple[int, int]
 
 
-@dataclass
-class LayerPlan:
-    """Public per-layer schedule."""
+def _no_wires() -> PayloadOrder:
+    return PayloadOrder.from_keys(
+        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 1
+    )
+
+
+class _Views:
+    """Dict views built from a plan's arrays on first read.  Pickles
+    leave them out, so a plan digests the same whether or not they were
+    read."""
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        state.pop("_views", None)
+        return state
+
+    def _view(self, name: str, build):
+        views = self.__dict__.setdefault("_views", {})
+        if name not in views:
+            views[name] = build()
+        return views[name]
+
+
+@dataclass(eq=False)
+class LayerPlan(_Views):
+    """Public per-layer schedule.
+
+    The light-gate data are arrays: ``light_wires`` groups the source
+    gates of the light wires crossing owners by (src, dst) player pair,
+    in ascending gate order, and ``light_owned_gids`` lists the layer's
+    light gates by (owner, gate id), ``light_owned_players`` naming each
+    one's owner.  ``light_order``, ``light_lengths`` and
+    ``light_owned`` are their dict views."""
 
     layer_index: int
     heavy_gates: List[int] = field(default_factory=list)
@@ -72,27 +102,59 @@ class LayerPlan:
     has_summary_round: bool = False
     # (sender, receiver) -> heavy gid whose value that push carries.
     push_recv: Dict[Pair, int] = field(default_factory=dict)
-    # (src, dst) -> ordered source-gate ids for the light-wire payloads.
-    light_order: Dict[Pair, List[int]] = field(default_factory=dict)
-    light_lengths: Dict[Pair, int] = field(default_factory=dict)
+    light_wires: PayloadOrder = field(default_factory=_no_wires)
     light_schedule: Optional[RoutingSchedule] = None
-    # player -> light gate ids of this layer it must evaluate.
-    light_owned: Dict[int, List[int]] = field(default_factory=dict)
+    light_owned_gids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    light_owned_players: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+
+    @property
+    def light_order(self) -> Dict[Pair, List[int]]:
+        """(src, dst) -> ordered source-gate ids for the light-wire
+        payloads."""
+        return self._view("light_order", self.light_wires.as_dict)
+
+    @property
+    def light_lengths(self) -> Dict[Pair, int]:
+        return self._view("light_lengths", self.light_wires.lengths)
+
+    @property
+    def light_owned(self) -> Dict[int, List[int]]:
+        """player -> light gate ids of this layer it must evaluate."""
+        return self._view("light_owned", self._group_owned)
+
+    def _group_owned(self) -> Dict[int, List[int]]:
+        owned: Dict[int, List[int]] = {}
+        for player, gid in zip(
+            self.light_owned_players.tolist(), self.light_owned_gids.tolist()
+        ):
+            owned.setdefault(player, []).append(gid)
+        return owned
 
 
-@dataclass
-class SimulationPlan:
-    """Everything every player knows before the protocol starts."""
+@dataclass(eq=False)
+class SimulationPlan(_Views):
+    """Everything every player knows before the protocol starts.
+
+    ``input_wires`` groups the input gates that change hands by
+    (holder, owner) pair; ``input_order`` and ``input_lengths`` are its
+    dict views."""
 
     circuit: Circuit
     n: int
     assignment: GateAssignment
     bandwidth: int
-    input_order: Dict[Pair, List[int]] = field(default_factory=dict)
-    input_lengths: Dict[Pair, int] = field(default_factory=dict)
+    input_wires: PayloadOrder = field(default_factory=_no_wires)
     input_schedule: Optional[RoutingSchedule] = None
     layer0_push_recv: Dict[Pair, int] = field(default_factory=dict)
     layer_plans: List[LayerPlan] = field(default_factory=list)
+
+    @property
+    def input_order(self) -> Dict[Pair, List[int]]:
+        return self._view("input_order", self.input_wires.as_dict)
+
+    @property
+    def input_lengths(self) -> Dict[Pair, int]:
+        return self._view("input_lengths", self.input_wires.lengths)
 
     def summary_width(self, gid: int) -> int:
         return _summary_width(self.circuit.table(), gid)
@@ -123,30 +185,22 @@ def _heavy_push_destinations(
     return destinations
 
 
-def _split(keys: np.ndarray, values: np.ndarray):
-    """(key, values list) per run of equal ``keys`` (already sorted)."""
-    if keys.size == 0:
-        return []
-    bounds = (np.flatnonzero(np.diff(keys)) + 1).tolist()
-    starts = [0, *bounds]
-    value_list = values.tolist()
-    return [
-        (key, value_list[lo:hi])
-        for key, lo, hi in zip(
-            keys[starts].tolist(), starts, [*bounds, len(value_list)]
-        )
-    ]
-
-
-def _check_partition(input_partition: Sequence[int], inputs: int, n: int) -> None:
+def _check_partition(input_partition: Sequence[int], inputs: int, n: int) -> np.ndarray:
+    """The partition as an int64 array, once every entry is a player."""
     if len(input_partition) != inputs:
         raise ValueError("input_partition must name a player per input")
+    holder = np.asarray(input_partition)
+    if holder.ndim == 1 and holder.dtype.kind in "iu" and (
+        holder.size == 0 or (int(holder.min()) >= 0 and int(holder.max()) < n)
+    ):
+        return holder.astype(np.int64, copy=False)
     for position, player in enumerate(input_partition):
         if not isinstance(player, numbers.Integral) or not 0 <= player < n:
             raise ValueError(
                 f"input_partition[{position}] = {player!r} is not a player "
                 f"in [0, {n})"
             )
+    return holder.astype(np.int64)
 
 
 def build_plan(
@@ -166,6 +220,8 @@ def build_plan(
     crosses owners, and one sort of a combined (layer, source owner,
     destination owner, source gate) key yields each layer's routed
     orders.  Only heavy gates — at most n — are visited one by one.
+    The routed orders and owned gates stay arrays (see
+    :class:`LayerPlan`); their dict views are built on first read.
     """
     if bandwidth is not None and bandwidth < 1:
         raise ValueError(f"bandwidth must be at least 1, got {bandwidth}")
@@ -173,7 +229,7 @@ def build_plan(
     input_ids = circuit.input_ids
     if input_partition is None:
         input_partition = [i % n for i in range(len(input_ids))]
-    _check_partition(input_partition, len(input_ids), n)
+    holder = _check_partition(input_partition, len(input_ids), n)
     table = circuit.table()
     owner_list = assignment.owner
     owner = np.asarray(owner_list, dtype=np.int64)
@@ -201,18 +257,11 @@ def build_plan(
 
     # ---- input redistribution -------------------------------------------
     ids = np.asarray(input_ids, dtype=np.int64)
-    holder = np.asarray(input_partition, dtype=np.int64)
     moved = holder != owner[ids]
     pair_key = holder[moved] * n + owner[ids[moved]]
     order = np.argsort(pair_key, kind="stable")
-    for key, gids in _split(pair_key[order], ids[moved][order]):
-        plan.input_order[(key // n, key % n)] = gids
-    plan.input_lengths = {
-        pair: len(gids) for pair, gids in plan.input_order.items()
-    }
-    plan.input_schedule = build_schedule(
-        payload_demand(plan.input_lengths, bandwidth), n
-    )
+    plan.input_wires = PayloadOrder.from_keys(pair_key[order], ids[moved][order], n)
+    plan.input_schedule = build_schedule(plan.input_wires.demand(bandwidth), n)
 
     # ---- heavy gates: summaries and pushes ---------------------------------
     consumer = np.repeat(np.arange(count, dtype=np.int64), table.fan_in)
@@ -253,9 +302,19 @@ def build_plan(
     # ---- light gates and the light wires crossing owners -------------------
     light_gates = np.flatnonzero(~heavy & (layer > 0))
     owned_key = layer[light_gates].astype(np.int64) * n + owner[light_gates]
-    order = np.argsort(owned_key, kind="stable")
-    for key, gids in _split(owned_key[order], light_gates[order]):
-        layer_plans[key // n - 1].light_owned[key % n] = gids
+    # The keys fit the narrowest unsigned type that holds num_layers·n;
+    # numpy's stable sort is a radix sort on 8- and 16-bit keys.
+    order = np.argsort(
+        owned_key.astype(np.min_scalar_type(num_layers * n)), kind="stable"
+    )
+    owned_key = owned_key[order]
+    light_gates = light_gates[order]
+    # Layer L's keys lie in [L·n, (L+1)·n).
+    bounds = np.searchsorted(owned_key, np.arange(num_layers + 1) * n).tolist()
+    for lp in layer_plans:
+        lo, hi = bounds[lp.layer_index], bounds[lp.layer_index + 1]
+        lp.light_owned_gids = light_gates[lo:hi]
+        lp.light_owned_players = owned_key[lo:hi] - lp.layer_index * n
 
     src = table.flat
     src_owner = owner[src]
@@ -272,17 +331,17 @@ def build_plan(
     wire_key = np.sort(wire_key)
     if wire_key.size:
         wire_key = wire_key[np.concatenate(([True], np.diff(wire_key) != 0))]
-    for key, gids in _split(wire_key // count, wire_key % count):
-        level, pair = divmod(key, n * n)
-        layer_plans[level - 1].light_order[divmod(pair, n)] = gids
-
+    pair_key = wire_key // max(count, 1)
+    wire_src = wire_key % max(count, 1)
+    bounds = np.searchsorted(pair_key, np.arange(num_layers + 1) * n * n).tolist()
     for lp in layer_plans:
-        lp.light_lengths = {
-            pair: len(gids) for pair, gids in lp.light_order.items()
-        }
-        if lp.light_lengths:
+        lo, hi = bounds[lp.layer_index], bounds[lp.layer_index + 1]
+        if hi > lo:
+            lp.light_wires = PayloadOrder.from_keys(
+                pair_key[lo:hi] - lp.layer_index * n * n, wire_src[lo:hi], n
+            )
             lp.light_schedule = build_schedule(
-                payload_demand(lp.light_lengths, bandwidth), n
+                lp.light_wires.demand(bandwidth), n
             )
     plan.layer_plans = layer_plans
     return plan

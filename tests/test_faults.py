@@ -33,6 +33,16 @@ from repro.core.phases import (
 
 WIDTH = 8
 
+#: Faults that take a frame off the wire (or add one) — what the
+#: ``present`` mask of a kernel round records.
+PRESENCE_FAULTS = [
+    dict(drop_rate=0.25),
+    dict(delay_rate=0.25),
+    dict(duplicate_rate=0.25),
+    dict(crashes={2: 2}),
+]
+PRESENCE_FAULT_IDS = ["drop", "delay", "duplicate", "crash"]
+
 
 def chatter_program(rounds):
     """Every node sends a round/sender-dependent byte to every other
@@ -365,6 +375,85 @@ class TestKernelFaults:
         )
         gen = outcome("legacy", generator, None, lambda outs: outs)
         assert kern == gen
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("faults", PRESENCE_FAULTS, ids=PRESENCE_FAULT_IDS)
+    def test_kernel_broadcast_missing_frames_parity(self, faults, seed):
+        # Four rounds per phase at b=4, so a sender can miss one frame of
+        # its stream; the generator then leaves it out of what it heard.
+        n, bandwidth, payload_width = 6, 4, 11
+        plan = FaultPlan(seed=seed, **faults)
+        payloads = [Bits((v * 2654435761) & 0x7FF, payload_width) for v in range(n)]
+        program = transmit_broadcast_kernel_program(
+            n, bandwidth, list(range(n)), max_bits=payload_width
+        )
+
+        def generator(ctx):
+            got = yield from transmit_broadcast(
+                ctx, payloads[ctx.node_id], payload_width
+            )
+            return sorted((s, p.to_uint()) for s, p in got.items())
+
+        def outcome(engine, prog, inputs, normalize):
+            try:
+                result = Network(
+                    n=n, bandwidth=bandwidth, mode=Mode.BROADCAST,
+                    engine=engine, fault_plan=plan,
+                ).run(prog, inputs=inputs)
+            except ReproError as exc:
+                return ("err", type(exc).__name__, str(exc))
+            return ("ok", normalize(result.outputs), result.faults)
+
+        kern = outcome(
+            "kernel", program, payloads,
+            lambda outs: [sorted((s, p.to_uint()) for s, p in o.items()) for o in outs],
+        )
+        gen = outcome("legacy", generator, None, lambda outs: outs)
+        assert kern == gen
+        assert kern[0] == "ok" and kern[2]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("faults", PRESENCE_FAULTS, ids=PRESENCE_FAULT_IDS)
+    def test_kernel_unicast_missing_frames_parity(self, faults, seed):
+        n, bandwidth, payload_width = 5, 4, 9
+        plan = FaultPlan(seed=seed, **faults)
+        links = [(s, d) for s in range(n) for d in range(n) if s != d]
+        payload_maps = {
+            (s, d): Bits((s * 131 + d * 17) & 0x1FF, payload_width) for s, d in links
+        }
+        program = transmit_unicast_kernel_program(
+            n, bandwidth, links, max_bits=payload_width
+        )
+
+        def generator(ctx):
+            got = yield from transmit_unicast(
+                ctx,
+                {d: payload_maps[(ctx.node_id, d)] for s, d in links if s == ctx.node_id},
+                payload_width,
+            )
+            return sorted((s, p.to_uint()) for s, p in got.items())
+
+        node_inputs = [
+            {d: payload_maps[(v, d)] for d in range(n) if d != v}
+            for v in range(n)
+        ]
+
+        def outcome(engine, prog, inputs, normalize):
+            try:
+                result = Network(
+                    n=n, bandwidth=bandwidth, engine=engine, fault_plan=plan
+                ).run(prog, inputs=inputs)
+            except ReproError as exc:
+                return ("err", type(exc).__name__, str(exc))
+            return ("ok", normalize(result.outputs), result.faults)
+
+        kern = outcome(
+            "kernel", program, node_inputs,
+            lambda outs: [sorted((s, p.to_uint()) for s, p in o.items()) for o in outs],
+        )
+        gen = outcome("legacy", generator, None, lambda outs: outs)
+        assert kern == gen
+        assert kern[0] == "ok" and kern[2]
 
     def test_kernel_run_many_shares_schedule(self):
         n, payload_width = 4, 7

@@ -210,6 +210,35 @@ class TestValidation:
         with pytest.raises(ProtocolError, match="appears twice"):
             builder.unicast_round([(0, [1]), (0, [2])], 4, None)
 
+    @pytest.mark.parametrize(
+        "senders, counts, dests, error, match",
+        [
+            ([2, 1], [1, 1], [0, 0], ProtocolError, "ascending"),
+            ([1, 1], [1, 1], [0, 2], ProtocolError, "node 1 appears twice"),
+            ([0, 1], [1, 1], [2], ProtocolError, "counts total 2, 1 destinations"),
+            ([0], [-1], [], ProtocolError, "1 message counts for 1 senders"),
+            ([4], [1], [0], TopologyError, "sender out of range"),
+            ([0, 1], [1, 1], [2, 1], TopologyError, "node 1 sent a message to itself"),
+            ([0, 2], [1, 1], [1, 7], TopologyError, "node 2 sent to an out-of-range"),
+            ([0, 1], [1, 2], [2, 3, 3], ProtocolError, "node 1 listed a destination twice"),
+        ],
+    )
+    def test_csr_round_rejects_malformed_structure(self, senders, counts, dests, error, match):
+        builder = KernelBuilder(4)
+        with pytest.raises(error, match=match):
+            builder.unicast_csr(senders, counts, dests, 4, None)
+
+    def test_pairs_and_csr_declare_the_same_round(self):
+        builder = KernelBuilder(4)
+        builder.unicast_round([(3, [0]), (1, []), (0, [1, 2])], 4, None)
+        builder.unicast_csr([0, 1, 3], [2, 0, 1], [1, 2, 0], 4, None)
+        pairs_round, csr_round = builder.rounds
+        for rnd in (pairs_round, csr_round):
+            assert rnd.senders.tolist() == [0, 3]
+            assert rnd.counts.tolist() == [2, 1]
+            assert rnd.dests.tolist() == [1, 2, 0]
+            assert not rnd.dests.flags.writeable
+
     def test_width_above_bandwidth_rejected_at_compile(self):
         builder = KernelBuilder(3)
         builder.unicast_round([(0, [1])], 9, lambda state: np.zeros((1, 1), dtype=np.uint64))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.bits import Bits
 from repro.core.network import run_protocol
 from repro.routing import build_schedule, payload_demand, route_payloads
+from repro.routing import schedule as schedule_mod
 from repro.routing.schedule import _greedy_edge_coloring
 
 
@@ -170,3 +171,133 @@ class TestRoutePayloads:
 
     def test_demand_helper(self):
         assert payload_demand({(0, 1): 10, (1, 0): 0}, 4) == {(0, 1): 3}
+
+
+# -- the array schedule against the dict-based greedy reference ---------------
+
+
+def reference_schedule(demand, n):
+    """The router as one greedy pass over Python frame tuples: colour
+    every frame, then take the direct timetable when it is no slower
+    than the two-phase one.  Returns ``(rounds, send_plan, recv_plan)``
+    with each round's dicts as item lists, so insertion order counts."""
+    frames = []
+    max_multiplicity = 0
+    for (src, dst), count in sorted(demand.items()):
+        if count <= 0:
+            continue
+        max_multiplicity = max(max_multiplicity, count)
+        frames.extend((src, dst, idx) for idx in range(count))
+    if not frames:
+        return 0, [], []
+    used_src, used_dst, colors = {}, {}, []
+    for src, dst, _ in frames:
+        a, b = used_src.setdefault(src, set()), used_dst.setdefault(dst, set())
+        color = 0
+        while color in a or color in b:
+            color += 1
+        colors.append(color)
+        a.add(color)
+        b.add(color)
+    slots = -(-(max(colors) + 1) // n)
+    if max_multiplicity <= 2 * slots or n == 1:
+        rounds = max_multiplicity
+        sends = [{} for _ in range(rounds)]
+        recvs = [{} for _ in range(rounds)]
+        for r in range(rounds):
+            for (src, dst), count in sorted(demand.items()):
+                if r < count:
+                    sends[r].setdefault(src, []).append((dst, (src, dst, r)))
+                    recvs[r][(src, dst)] = ((src, dst, r), True)
+    else:
+        rounds = 2 * slots
+        sends = [{} for _ in range(rounds)]
+        recvs = [{} for _ in range(rounds)]
+        for frame, color in zip(frames, colors):
+            src, dst, _ = frame
+            middle, slot = color % n, color // n
+            if middle != src:
+                sends[slot].setdefault(src, []).append((middle, frame))
+                recvs[slot][(src, middle)] = (frame, middle == dst)
+            if middle != dst:
+                sends[slots + slot].setdefault(middle, []).append((dst, frame))
+                recvs[slots + slot][(middle, dst)] = (frame, True)
+    return rounds, [list(r.items()) for r in sends], [list(r.items()) for r in recvs]
+
+
+@st.composite
+def demands(draw):
+    """Demands on 1..9 nodes; one pair may carry up to 4n frames, which
+    forces the two-phase timetable."""
+    n = draw(st.integers(1, 9))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    demand = draw(st.dictionaries(pairs, st.integers(0, 3), max_size=3 * n)) if n > 1 else {}
+    if demand and draw(st.booleans()):
+        demand[draw(st.sampled_from(sorted(demand)))] = draw(st.integers(1, 4 * n))
+    return n, demand
+
+
+@given(demands())
+def test_schedule_matches_greedy_reference(case):
+    n, demand = case
+    schedule = build_schedule(demand, n)
+    rounds, sends, recvs = reference_schedule(demand, n)
+    assert schedule.num_rounds == rounds
+    assert [list(r.items()) for r in schedule.send_plan] == sends
+    assert [list(r.items()) for r in schedule.recv_plan] == recvs
+
+
+def test_two_phase_reference_cases_are_drawn():
+    # The high-multiplicity case above really leaves the direct path.
+    schedule = build_schedule({(0, 1): 36, (2, 3): 1}, 9)
+    assert reference_schedule({(0, 1): 36, (2, 3): 1}, 9)[0] == schedule.num_rounds < 36
+
+
+def test_degree_bound_skips_the_colouring(monkeypatch):
+    calls = []
+    real = schedule_mod._greedy_edge_coloring
+
+    def counting(frames):
+        calls.append(len(frames))
+        return real(frames)
+
+    monkeypatch.setattr(schedule_mod, "_greedy_edge_coloring", counting)
+    n = 8
+    # Every node sends 2 frames to each other node: Δ = 14, so
+    # 2·⌈Δ/n⌉ = 4 ≥ multiplicity 2 and the direct timetable is certain.
+    balanced = {(s, d): 2 for s in range(n) for d in range(n) if s != d}
+    assert build_schedule(balanced, n).num_rounds == 2
+    assert calls == []
+    # Multiplicity 5 on one pair beats the bound (Δ = 5 → 2 rounds), so
+    # only the colouring can decide.
+    assert build_schedule({(0, 1): 5}, n).num_rounds == 2
+    assert calls == [5]
+
+
+def test_array_demand_matches_mapping():
+    demand = {(2, 0): 3, (0, 1): 1, (1, 2): 0}
+    src, dst, count = zip(*((s, d, c) for (s, d), c in demand.items()))
+    a, b = build_schedule(demand, 3), build_schedule((src, dst, count), 3)
+    assert (a.send_plan, a.recv_plan) == (b.send_plan, b.recv_plan)
+    with pytest.raises(ValueError, match="twice"):
+        build_schedule(([0, 0], [1, 1], [1, 2]), 3)
+
+
+def test_kernel_payloads_name_unrouted_and_surplus_frames():
+    from repro.routing.lenzen import KernelPayloads, PayloadOrder
+    from repro.simulation.kernel import payload_bridge
+
+    schedule = build_schedule({(0, 1): 2}, 3)
+    with pytest.raises(ValueError, match=r"does not route frame \(0, 1, 2\) of"):
+        KernelPayloads(schedule, {(0, 1): 9}, 3)
+    with pytest.raises(ValueError, match=r"does not route frame \(1, 2, 0\) of"):
+        KernelPayloads(schedule, ([0, 1], [1, 2], [6, 1]), 3)
+    with pytest.raises(ValueError, match="routes 2 frames, the payload lengths need 1"):
+        KernelPayloads(schedule, {(0, 1): 3}, 3)
+    payloads = KernelPayloads(schedule, {(0, 1): 6, (2, 0): 0}, 3)
+    assert payloads.positions.tolist() == list(range(6))
+    short = PayloadOrder.from_keys([1] * 5, [7, 8, 9, 10, 11], 3)
+    with pytest.raises(ValueError, match=r"payload \(0, 1\) carries 5 gate values, plan says 6"):
+        payload_bridge(short, payloads)

@@ -188,3 +188,50 @@ class TestRoundComplexity:
             xs = [rng.random() < 0.5 for _ in range(16)]
             outputs, _, _ = simulate_circuit(circuit, 4, xs, plan=plan)
             assert [outputs[g] for g in circuit.outputs] == circuit.evaluate_outputs(xs)
+
+
+def test_kernel_programs_build_no_plan_views(monkeypatch):
+    """The kernel path reads the plan's arrays only: building the
+    triangle_mm and circuit kernel programs on a fresh plan builds none
+    of the dict-of-list views that ``execute_plan`` reads."""
+    import pickle
+
+    from repro.circuits.arithmetic import matmul_circuit_strassen
+    from repro.core.checkpoint import stable_digest
+    from repro.graphs import random_graph
+    from repro.matmul.distributed import matmul_input_partition, triangle_mm_kernel_program
+    from repro.routing.lenzen import PayloadOrder
+    from repro.routing.schedule import RoutingSchedule
+    from repro.simulation.kernel import make_kernel_program
+    from repro.simulation.protocol import LayerPlan
+
+    built = []
+    for cls, name in [
+        (PayloadOrder, "as_dict"),
+        (PayloadOrder, "lengths"),
+        (LayerPlan, "_group_owned"),
+        (RoutingSchedule, "_views"),
+    ]:
+        real = getattr(cls, name)
+
+        def counting(self, _real=real, _name=name):
+            built.append(_name)
+            return _real(self)
+
+        monkeypatch.setattr(cls, name, counting)
+    size = 8
+    plan = build_plan(matmul_circuit_strassen(size), size, matmul_input_partition(size))
+    digest, pickled = stable_digest(plan), pickle.dumps(plan)
+    triangle_mm_kernel_program(random_graph(size, 0.5, random.Random(3)), plan, 2)
+    make_kernel_program(plan)
+    assert built == []
+    # Reading the views leaves the plan's digest and pickle unchanged.
+    assert plan.input_order and all(lp.light_owned for lp in plan.layer_plans)
+    assert [lp.light_schedule.send_plan for lp in plan.layer_plans if lp.light_order]
+    assert built
+    assert stable_digest(plan) == digest and pickle.dumps(plan) == pickled
+    clone = pickle.loads(pickled)
+    assert clone.input_order == plan.input_order
+    assert [lp.light_order for lp in clone.layer_plans] == [
+        lp.light_order for lp in plan.layer_plans
+    ]
